@@ -1,6 +1,7 @@
 #include "cluster/cluster_control_loop.h"
 
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "common/macros.h"
@@ -16,8 +17,13 @@ ClusterControlLoop::ClusterControlLoop(ClusterControlLoopOptions options)
   monitor_.SetTransitionCallback([this](const char* what, uint32_t node_id) {
     char detail[32];
     std::snprintf(detail, sizeof(detail), "node %u", node_id);
-    flight_.RecordEvent(what, detail);
+    pipeline_.flight()->RecordEvent(what, detail);
   });
+}
+
+void ClusterControlLoop::SetMetricsSink(MetricsRegistry* sink) {
+  metrics_sink_ = sink;
+  if (sink != nullptr) pipeline_.SetMetricsSink(sink);
 }
 
 void ClusterControlLoop::OnHello(const NodeHello& h, SimTime recv_now) {
@@ -36,10 +42,7 @@ void ClusterControlLoop::OnAck(const ActuationAck& a) {
   for (size_t i = 0; i < pending_.node_ids.size(); ++i) {
     if (pending_.node_ids[i] != a.node_id || pending_.acked[i]) continue;
     pending_.acked[i] = true;
-    pending_.applied[i] = a.applied;
-    pending_.alpha[i] = a.alpha;
-    pending_.site[i] = a.site;
-    pending_.queue_shed[i] = a.queue_shed;
+    pending_.slices[i] = SliceActuation{a.applied, a.alpha, a.queue_shed};
     ++pending_.acks;
     break;
   }
@@ -56,9 +59,9 @@ std::vector<NodeCommand> ClusterControlLoop::Tick(SimTime now) {
   const bool have_plant = monitor_.Sample(now, yd_, &m);
   // Staleness is (re)judged at every boundary, including idle ones — an
   // all-stale cluster must be able to go critical while no periods close.
-  health_.SetStaleNodes(static_cast<uint64_t>(monitor_.stale_count()),
-                        static_cast<uint64_t>(monitor_.stale_count() +
-                                              monitor_.active_count()));
+  pipeline_.health()->SetStaleNodes(
+      static_cast<uint64_t>(monitor_.stale_count()),
+      static_cast<uint64_t>(monitor_.stale_count() + monitor_.active_count()));
   if (!have_plant) {
     ++idle_ticks_;
     return {};
@@ -69,13 +72,15 @@ std::vector<NodeCommand> ClusterControlLoop::Tick(SimTime now) {
   const double v = controller_.DesiredRate(m);
 
   const std::vector<uint32_t>& ids = monitor_.active_ids();
-  const std::vector<double> shares = ProportionalShares(monitor_.node_fin());
 
   pending_ = PendingPeriod{};
   pending_.open = true;
   pending_.seq = ++seq_;
   pending_.record.m = m;
   pending_.record.v = v;
+  pending_.node_ids = ids;
+  pending_.acked.assign(ids.size(), false);
+  ProportionalShares(monitor_.node_fin(), &pending_.shares);
   // Per-node queue decomposition in the shard_q slot — the timeline/CSV
   // exports then work unchanged on a controller (empty at one node, like
   // the N = 1 rt loop, keeping those exports byte-identical).
@@ -85,7 +90,7 @@ std::vector<NodeCommand> ClusterControlLoop::Tick(SimTime now) {
   std::vector<NodeCommand> commands;
   commands.reserve(ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
-    const double v_i = v * shares[i];
+    const double v_i = v * pending_.shares[i];
     NodeCommand cmd;
     cmd.node_id = ids[i];
     cmd.act.seq = pending_.seq;
@@ -95,18 +100,14 @@ std::vector<NodeCommand> ClusterControlLoop::Tick(SimTime now) {
     cmd.act.cost_aware = options_.cost_aware;
     commands.push_back(cmd);
 
-    pending_.node_ids.push_back(ids[i]);
-    pending_.shares.push_back(shares[i]);
-    pending_.v_i.push_back(v_i);
-    pending_.acked.push_back(false);
-    pending_.applied.push_back(0.0);
-    // Until the ack lands, fall back to the node's last reported alpha.
+    // Until its ack lands, a node counts as having applied its whole
+    // slice at its last reported alpha with no in-network victims: a lost
+    // or late ack must neither masquerade as actuator saturation (or the
+    // anti-windup would rewrite controller state on every dropped
+    // message) nor fabricate in-network actuation.
     const ClusterMonitor::NodeState* n = monitor_.Find(ids[i]);
-    pending_.alpha.push_back(n != nullptr ? n->alpha : 0.0);
-    // Unacked nodes default to entry-site, zero in-network victims —
-    // missing data must not fabricate in-network actuation.
-    pending_.site.push_back(static_cast<uint32_t>(ActuationSite::kEntry));
-    pending_.queue_shed.push_back(0.0);
+    pending_.slices.push_back(
+        SliceActuation{v_i, n != nullptr ? n->alpha : 0.0, 0.0});
   }
   return commands;
 }
@@ -114,40 +115,16 @@ std::vector<NodeCommand> ClusterControlLoop::Tick(SimTime now) {
 void ClusterControlLoop::Finalize() {
   if (!pending_.open) return;
   pending_.open = false;
-  double applied = 0.0;
-  double alpha = 0.0;
-  double queue_shed = 0.0;
-  bool in_network = false;
-  for (size_t i = 0; i < pending_.node_ids.size(); ++i) {
-    // A node whose ack was lost or delayed is assumed to have applied its
-    // full slice: missing data must not masquerade as actuator
-    // saturation, or the anti-windup would rewrite controller state on
-    // every dropped message.
-    applied += pending_.acked[i] ? pending_.applied[i] : pending_.v_i[i];
-    alpha += pending_.shares[i] * pending_.alpha[i];
-    queue_shed += pending_.queue_shed[i];
-    in_network |=
-        pending_.site[i] != static_cast<uint32_t>(ActuationSite::kEntry);
+  ActuationFold fold;
+  for (size_t i = 0; i < pending_.slices.size(); ++i) {
+    fold.Add(pending_.shares[i], pending_.slices[i]);
   }
-  controller_.NotifyActuation(applied);
-  pending_.record.alpha = alpha;
-  // Cluster-level site: entry unless some node actuated in-network this
-  // period; split when entry drops ran alongside.
-  pending_.record.site =
-      !in_network ? ActuationSite::kEntry
-                  : (alpha > 0.0 ? ActuationSite::kSplit
-                                 : ActuationSite::kInNetwork);
-  pending_.record.queue_shed = queue_shed;
-  pending_.record.h_hat = monitor_.h_hat();
-  if (pending_.record.site != last_site_) {
-    const std::string detail =
-        std::string(ActuationSiteName(last_site_)) + " -> " +
-        std::string(ActuationSiteName(pending_.record.site));
-    flight_.RecordEvent("site_switch", detail.c_str(), pending_.record.m.t);
-    last_site_ = pending_.record.site;
-  }
-  flight_.RecordPeriod(pending_.record);
-  health_.ObservePeriod(pending_.record);
+  controller_.NotifyActuation(fold.applied);
+  PeriodRecord& rec = pending_.record;
+  rec.alpha = fold.alpha;
+  rec.site = fold.site();
+  rec.queue_shed = fold.queue_target;
+  rec.h_hat = monitor_.h_hat();
   // Configured headroom for the drift warning: the active fleet's mean
   // per-worker H (the aggregate H_hat is per-worker by construction).
   double active_workers = 0.0;
@@ -157,17 +134,11 @@ void ClusterControlLoop::Finalize() {
     active_workers += static_cast<double>(n.workers);
     weighted_h += static_cast<double>(n.workers) * n.headroom;
   }
-  health_.SetHeadroom(active_workers > 0.0 ? weighted_h / active_workers
-                                           : std::numeric_limits<double>::quiet_NaN(),
-                      monitor_.h_hat());
-  if (metrics_sink_ != nullptr) {
-    metrics_sink_
-        ->GetCounter(std::string("actuation.site.") +
-                     std::string(ActuationSiteName(pending_.record.site)))
-        ->Add();
-  }
-  recorder_.Record(pending_.record);
-  if (on_record_) on_record_(recorder_.rows().back());
+  pipeline_.Publish(std::move(rec),
+                    active_workers > 0.0
+                        ? weighted_h / active_workers
+                        : std::numeric_limits<double>::quiet_NaN());
+  if (on_record_) on_record_(pipeline_.recorder().rows().back());
 }
 
 void ClusterControlLoop::Flush() { Finalize(); }

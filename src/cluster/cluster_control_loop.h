@@ -8,9 +8,8 @@
 #include "cluster/cluster_monitor.h"
 #include "cluster/wire.h"
 #include "control/ctrl_controller.h"
+#include "core/period_pipeline.h"
 #include "metrics/recorder.h"
-#include "telemetry/flight_recorder.h"
-#include "telemetry/health.h"
 
 namespace ctrlshed {
 
@@ -40,16 +39,17 @@ struct NodeCommand {
 /// reports into one plant (ClusterMonitor), run the unchanged Eq. (10)
 /// controller against it, and fan v(k) back out proportionally to
 /// per-node offered load — the same ProportionalShares arithmetic RtLoop
-/// uses across shards.
+/// uses across shards. Each node is one PeriodPipeline slice whose
+/// delivery completes by ack.
 ///
 /// Anti-windup across the wire: the realized rate arrives in acks one
-/// network round-trip later. A period's record is finalized — realized
-/// actuation notified, recorder row emitted — either when every active
-/// node acked (the zero-delay sim hits this before the next tick, which
-/// preserves the single-process DesiredRate/NotifyActuation interleaving
-/// exactly) or at the next Tick, where nodes that have not acked are
-/// assumed to have applied their full slice (missing data must not look
-/// like saturation).
+/// network round-trip later. A period's record is finalized — acks folded
+/// through the pipeline's ActuationFold, realized actuation notified,
+/// period published — either when every active node acked (the zero-delay
+/// sim hits this before the next tick, which preserves the single-process
+/// DesiredRate/NotifyActuation interleaving exactly) or at the next Tick,
+/// where nodes that have not acked are assumed to have applied their full
+/// slice (missing data must not look like saturation).
 ///
 /// Not thread-safe: the caller serializes On*/Tick (the socket runner
 /// holds a mutex; the sim is single-threaded).
@@ -67,7 +67,8 @@ class ClusterControlLoop {
   /// labels (see FoldMetricsSnapshot). Observability only — the snapshot
   /// never reaches the monitor or the control law, which is what keeps
   /// the one-node zero-delay cluster byte-identical to the local loop.
-  void SetMetricsSink(MetricsRegistry* sink) { metrics_sink_ = sink; }
+  /// The loop's own site counters and health gauges land there too.
+  void SetMetricsSink(MetricsRegistry* sink);
 
   void OnHello(const NodeHello& h, SimTime recv_now);
   void OnReport(const NodeStatsReport& r, SimTime recv_now);
@@ -84,18 +85,17 @@ class ClusterControlLoop {
   void SetTargetDelay(double yd);
 
   const ClusterMonitor& monitor() const { return monitor_; }
-  const Recorder& recorder() const { return recorder_; }
-  const CtrlController& controller() const { return controller_; }
+  const Recorder& recorder() const { return pipeline_.recorder(); }
 
   /// Current control-loop health verdict (see telemetry/health.h). The
   /// HealthMonitor is internally locked, but callers that want a verdict
   /// consistent with the maps should hold the same mutex that serializes
   /// On*/Tick (the socket runner prebuilds the JSON under it).
-  HealthReport Health() const { return health_.Report(); }
+  HealthReport Health() const { return pipeline_.Health(); }
 
   /// The loop's flight recorder — the runner annotates transport-level
   /// events (decode rejects, connection drops) into the same ring.
-  FlightRecorder* flight() { return &flight_; }
+  FlightRecorder* flight() { return pipeline_.flight(); }
   double target_delay() const { return yd_; }
   int ticks() const { return ticks_; }
   /// Ticks skipped because no node was active.
@@ -111,12 +111,8 @@ class ClusterControlLoop {
     PeriodRecord record;
     std::vector<uint32_t> node_ids;  // active set the commands went to
     std::vector<double> shares;
-    std::vector<double> v_i;
+    std::vector<SliceActuation> slices;  // per node, from its ack
     std::vector<bool> acked;
-    std::vector<double> applied;
-    std::vector<double> alpha;  // per-node alpha (reported until acked)
-    std::vector<uint32_t> site;       // per-node ActuationSite (from acks)
-    std::vector<double> queue_shed;   // per-node planned in-network victims
     size_t acks = 0;
   };
 
@@ -125,13 +121,10 @@ class ClusterControlLoop {
   ClusterControlLoopOptions options_;
   ClusterMonitor monitor_;
   CtrlController controller_;
-  Recorder recorder_;
-  FlightRecorder flight_{"cluster"};
-  HealthMonitor health_;
+  PeriodPipeline pipeline_{"cluster", ActuationPlannerOptions{}};
   RecordCallback on_record_;
 
   MetricsRegistry* metrics_sink_ = nullptr;
-  ActuationSite last_site_ = ActuationSite::kEntry;
   double yd_;
   uint32_t seq_ = 0;
   int ticks_ = 0;

@@ -4,8 +4,8 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/cluster_control_loop.h"
-#include "cluster/node_agent.h"
+#include "cluster/controller_runner.h"
+#include "cluster/node_runner.h"
 #include "common/macros.h"
 #include "common/rng.h"
 #include "engine/engine.h"
@@ -130,15 +130,8 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
           });
     }
 
-    NodeAgentOptions agent_opts;
-    agent_opts.node_id = node->id;
-    agent_opts.target_delay = base.target_delay;
-    agent_opts.monitor.period = base.period;
-    agent_opts.monitor.headroom = base.headroom_est;
-    agent_opts.monitor.cost_ewma = base.cost_ewma;
-    agent_opts.monitor.adapt_headroom = base.adapt_headroom;
-    node->agent = std::make_unique<NodeAgent>(nominal_cost, node->shedder_ptrs,
-                                              agent_opts);
+    node->agent = std::make_unique<NodeAgent>(
+        nominal_cost, node->shedder_ptrs, NodeAgentOptionsFor(base, node->id));
     if (base.use_queue_shedder) {
       // The sim's budget "handshake" is a direct call: the plant is
       // single-threaded, so the shard drains its in-network budget at the
@@ -160,20 +153,7 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
   }
 
   // --- Controller --------------------------------------------------------
-  ClusterControlLoopOptions loop_opts;
-  loop_opts.nominal_entry_cost = nominal_cost;
-  loop_opts.target_delay = base.target_delay;
-  loop_opts.monitor.period = base.period;
-  loop_opts.monitor.cost_ewma = base.cost_ewma;
-  loop_opts.monitor.adapt_headroom = base.adapt_headroom;
-  loop_opts.monitor.stale_periods = config.stale_periods;
-  loop_opts.ctrl.gains = base.gains;
-  loop_opts.ctrl.headroom = base.headroom_est;  // re-targeted on membership
-  loop_opts.ctrl.feedback = base.ctrl_feedback;
-  loop_opts.ctrl.anti_windup = base.anti_windup;
-  loop_opts.queue_shed = base.use_queue_shedder;
-  loop_opts.cost_aware = base.cost_aware_shedding;
-  ClusterControlLoop ctl(loop_opts);
+  ClusterControlLoop ctl(ClusterLoopOptions(base, config.stale_periods));
   if (config.fleet_metrics != nullptr) {
     ctl.SetMetricsSink(config.fleet_metrics);
   }
@@ -335,23 +315,9 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
     result.nodes.push_back(nr);
   }
 
-  QosSummary& s = result.summary;
-  s.accumulated_violation = qos.accumulated_violation();
-  s.delayed_tuples = qos.delayed_tuples();
-  s.max_overshoot = qos.max_overshoot();
-  s.offered = offered;
-  s.entry_shed = entry_shed;
-  s.ring_dropped = 0;  // the sim has no ingress rings
-  s.queue_shed = total_queue_shed;
-  s.shed = entry_shed + total_queue_shed;
-  s.loss_ratio = offered == 0 ? 0.0
-                              : static_cast<double>(s.shed) /
-                                    static_cast<double>(offered);
-  s.departures = qos.departures();
-  s.mean_delay = qos.mean_delay();
-  s.p50_delay = qos.delay_histogram().Quantile(0.50);
-  s.p95_delay = qos.delay_histogram().Quantile(0.95);
-  s.p99_delay = qos.delay_histogram().Quantile(0.99);
+  // The sim has no ingress rings, so nothing is ring-dropped.
+  result.summary = qos.Summarize(offered, entry_shed, /*ring_dropped=*/0,
+                                 total_queue_shed);
   return result;
 }
 

@@ -21,27 +21,23 @@
 
 namespace ctrlshed {
 
-namespace {
-constexpr auto kMaxSleepChunk = std::chrono::milliseconds(5);
-
-void SleepUntilWall(std::chrono::steady_clock::time_point deadline,
-                    const std::atomic<bool>* stop) {
-  for (;;) {
-    if (stop != nullptr && stop->load(std::memory_order_relaxed)) return;
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return;
-    const auto remaining = deadline - now;
-    std::this_thread::sleep_for(
-        remaining < std::chrono::steady_clock::duration(kMaxSleepChunk)
-            ? remaining
-            : std::chrono::steady_clock::duration(kMaxSleepChunk));
-  }
+ClusterControlLoopOptions ClusterLoopOptions(const ExperimentConfig& base,
+                                             int stale_periods) {
+  ClusterControlLoopOptions o;
+  o.nominal_entry_cost = base.headroom_true / base.capacity_rate;
+  o.target_delay = base.target_delay;
+  o.monitor.period = base.period;
+  o.monitor.cost_ewma = base.cost_ewma;
+  o.monitor.adapt_headroom = base.adapt_headroom;
+  o.monitor.stale_periods = stale_periods;
+  o.ctrl.gains = base.gains;
+  o.ctrl.headroom = base.headroom_est;  // re-targeted from membership
+  o.ctrl.feedback = base.ctrl_feedback;
+  o.ctrl.anti_windup = base.anti_windup;
+  o.queue_shed = base.use_queue_shedder;
+  o.cost_aware = base.cost_aware_shedding;
+  return o;
 }
-
-bool StopRequested(const std::atomic<bool>* stop) {
-  return stop != nullptr && stop->load(std::memory_order_relaxed);
-}
-}  // namespace
 
 ClusterControllerResult RunClusterController(
     const ClusterControllerConfig& config) {
@@ -51,8 +47,6 @@ ClusterControllerResult RunClusterController(
   CS_CHECK_MSG(base.capacity_rate > 0.0, "capacity must be positive");
   IgnoreSigPipe();
 
-  const double nominal_cost = base.headroom_true / base.capacity_rate;
-
   std::unique_ptr<Telemetry> telemetry = Telemetry::Open(base.telemetry);
   if (telemetry && !telemetry->dir().empty()) {
     SetFlightDumpPath(telemetry->dir() + "/ctrlshed.flightdump.json");
@@ -60,20 +54,7 @@ ClusterControllerResult RunClusterController(
 
   RtClock clock(config.time_compression);
 
-  ClusterControlLoopOptions lopts;
-  lopts.nominal_entry_cost = nominal_cost;
-  lopts.target_delay = base.target_delay;
-  lopts.monitor.period = base.period;
-  lopts.monitor.cost_ewma = base.cost_ewma;
-  lopts.monitor.adapt_headroom = base.adapt_headroom;
-  lopts.monitor.stale_periods = config.stale_periods;
-  lopts.ctrl.gains = base.gains;
-  lopts.ctrl.headroom = base.headroom_est;  // re-targeted from membership
-  lopts.ctrl.feedback = base.ctrl_feedback;
-  lopts.ctrl.anti_windup = base.anti_windup;
-  lopts.queue_shed = base.use_queue_shedder;
-  lopts.cost_aware = base.cost_aware_shedding;
-  ClusterControlLoop ctl(lopts);
+  ClusterControlLoop ctl(ClusterLoopOptions(base, config.stale_periods));
   if (telemetry) {
     // Record callbacks fire from the serve thread (ack-completed periods)
     // and the period loop (tick-finalized ones), always under loop_mu — the
@@ -310,11 +291,12 @@ ClusterControllerResult RunClusterController(
   // --- Period loop --------------------------------------------------------
   TraceBuffer* period_buf =
       telemetry ? telemetry->RegisterThread("ctl.period") : nullptr;
+  const auto stopping = [&config] { return StopRequested(config.stop); };
   for (int64_t k = 1;; ++k) {
     const SimTime boundary = static_cast<double>(k) * base.period;
     if (boundary > base.duration) break;
-    SleepUntilWall(clock.WallDeadline(boundary), config.stop);
-    if (StopRequested(config.stop)) break;
+    SleepUntilWall(clock.WallDeadline(boundary), stopping);
+    if (stopping()) break;
     ScopedSpan span(period_buf, "cluster.tick");
     std::vector<NodeCommand> commands;
     uint32_t tick_seq = 0;

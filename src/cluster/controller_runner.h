@@ -6,6 +6,7 @@
 #include <functional>
 #include <string>
 
+#include "cluster/cluster_control_loop.h"
 #include "metrics/recorder.h"
 #include "runner/experiment.h"
 #include "telemetry/health.h"
@@ -63,6 +64,11 @@ struct ClusterControllerResult {
   bool interrupted = false;
   HealthReport health;  ///< Controller health verdict at shutdown.
 };
+
+/// The loop options a cluster controller of `base` runs with, excluding
+/// nodes after `stale_periods` silent periods (socket runner and sim).
+ClusterControlLoopOptions ClusterLoopOptions(const ExperimentConfig& base,
+                                             int stale_periods);
 
 /// Runs the cluster controller for base.duration trace seconds. Blocks
 /// until the run completes.

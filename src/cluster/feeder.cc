@@ -15,25 +15,6 @@
 
 namespace ctrlshed {
 
-namespace {
-constexpr auto kMaxSleepChunk = std::chrono::milliseconds(5);
-
-void SleepUntilWall(std::chrono::steady_clock::time_point deadline,
-                    const std::atomic<bool>* stop, const FrameClient* client) {
-  for (;;) {
-    if (stop != nullptr && stop->load(std::memory_order_relaxed)) return;
-    if (!client->connected()) return;  // node died; nothing left to feed
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return;
-    const auto remaining = deadline - now;
-    std::this_thread::sleep_for(
-        remaining < std::chrono::steady_clock::duration(kMaxSleepChunk)
-            ? remaining
-            : std::chrono::steady_clock::duration(kMaxSleepChunk));
-  }
-}
-}  // namespace
-
 ClusterFeedResult RunClusterFeeder(const ClusterFeedConfig& config) {
   const ExperimentConfig& base = config.base;
   CS_CHECK_MSG(config.port > 0, "feed needs a node ingress port");
@@ -81,9 +62,11 @@ ClusterFeedResult RunClusterFeeder(const ClusterFeedConfig& config) {
         });
   }
 
-  SleepUntilWall(clock.WallDeadline(base.duration), config.stop, &client);
-  result.interrupted =
-      config.stop != nullptr && config.stop->load(std::memory_order_relaxed);
+  // A dropped node connection also ends the feed: nothing left to feed.
+  SleepUntilWall(clock.WallDeadline(base.duration), [&config, &client] {
+    return StopRequested(config.stop) || !client.connected();
+  });
+  result.interrupted = StopRequested(config.stop);
 
   for (auto& stream : streams) stream->Stop();
   client.Close();

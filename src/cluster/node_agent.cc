@@ -1,6 +1,5 @@
 #include "cluster/node_agent.h"
 
-#include <string>
 #include <utility>
 
 #include "common/macros.h"
@@ -14,7 +13,9 @@ NodeAgent::NodeAgent(double nominal_entry_cost, std::vector<Shedder*> shedders,
       shedders_(std::move(shedders)),
       monitor_(nominal_entry_cost, static_cast<int>(shedders_.size()),
                options.monitor),
-      target_delay_(options.target_delay) {
+      target_delay_(options.target_delay),
+      pipeline_("node", ActuationPlannerOptions{nominal_entry_cost},
+                /*telemetry=*/nullptr, /*keep_rows=*/false) {
   CS_CHECK_MSG(!shedders_.empty(), "need one shedder per shard");
   for (Shedder* s : shedders_) CS_CHECK(s != nullptr);
   CS_CHECK_MSG(target_delay_ > 0.0, "target delay must be positive");
@@ -31,25 +32,19 @@ NodeHello NodeAgent::Hello() const {
 }
 
 NodeStatsReport NodeAgent::Tick(const std::vector<RtSample>& shards) {
-  m_ = monitor_.Sample(shards, target_delay_);
+  period_.m = monitor_.Sample(shards, target_delay_);
+  period_.h_hat = monitor_.h_hat();
   has_measurement_ = true;
-
   // Node-local observability: the same per-period ring + health the
-  // single-process loops keep. v is the last commanded rate (the node
-  // does not run the control law itself).
-  PeriodRecord rec{m_, last_v_, alpha_, /*lateness=*/0.0, /*shard_q=*/{}};
-  rec.site = last_site_;
-  rec.h_hat = monitor_.h_hat();
-  flight_.RecordPeriod(rec);
-  health_.ObservePeriod(rec);
-  health_.SetHeadroom(options_.monitor.headroom, monitor_.h_hat());
+  // single-process loops keep.
+  pipeline_.Publish(period_, options_.monitor.headroom);
 
   NodeStatsReport r;
   r.node_id = options_.node_id;
   r.seq = ++seq_;
   r.ctrl_seq = ctrl_seq_;
   r.deltas = monitor_.last_deltas();
-  r.alpha = alpha_;
+  r.alpha = period_.alpha;
   for (const RtSample& s : shards) {
     r.offered_total += s.offered;
     r.entry_shed_total += s.entry_shed;
@@ -63,60 +58,34 @@ NodeStatsReport NodeAgent::Tick(const std::vector<RtSample>& shards) {
 ActuationAck NodeAgent::Apply(const ClusterActuation& a) {
   target_delay_ = a.target_delay;
   ctrl_seq_ = a.seq;
-  last_v_ = a.v;
+  period_.v = a.v;
 
   ActuationAck ack;
   ack.node_id = options_.node_id;
   ack.seq = a.seq;
-  if (!has_measurement_) {
-    // Nothing arrived/was sampled yet, so there is no load to slice; the
-    // shedders stay wide open and the ack reports the command as applied
-    // (the anti-windup hook must not see a phantom saturation).
-    ack.applied = a.v;
-    ack.alpha = alpha_;
-    return ack;
-  }
+  // Before the first Tick nothing was sampled, so there is no load to
+  // slice; the shedders stay wide open and the ack reports the command as
+  // applied (the anti-windup hook must not see a phantom saturation).
+  ack.applied = a.v;
+  ack.alpha = period_.alpha;
+  if (!has_measurement_) return ack;
 
-  // Identical arithmetic to RtLoop::ControlTick's shard fan-out: per-shard
-  // ActuationPlans built from the same measurement slices. With queue_shed
-  // off the plans are entry-only and ApplyPlan degrades to Configure, bit
-  // for bit the pre-plan agent.
-  const ActuationPlanner planner(ActuationPlannerOptions{
+  // The same fan-out as RtLoop's, over the last sampled measurement. With
+  // queue_shed off the plans are entry-only and ApplyPlan degrades to
+  // Configure, bit for bit the pre-plan agent.
+  pipeline_.SetPlanner(ActuationPlannerOptions{
       nominal_entry_cost_, /*allow_in_network=*/a.queue_shed, a.cost_aware});
-  const std::vector<double>& shard_fin = monitor_.shard_fin();
-  const std::vector<double>& shard_queues = monitor_.shard_queues();
-  const std::vector<double> shares = ProportionalShares(shard_fin);
-  double applied = 0.0;
-  double alpha = 0.0;
-  double queue_target = 0.0;
-  for (size_t i = 0; i < shedders_.size(); ++i) {
-    const double share = shares[i];
-    PeriodMeasurement mi = m_;
-    mi.fin = shard_fin[i];
-    mi.fin_forecast = m_.fin_forecast * share;
-    mi.admitted = m_.admitted * share;
-    mi.queue = shard_queues[i];
-    const ActuationPlan plan = planner.BuildPlan(a.v * share, mi);
-    if (a.queue_shed && budget_poster_) budget_poster_(i, plan, a.seq);
-    applied += shedders_[i]->ApplyPlan(plan, mi);
-    alpha += share * shedders_[i]->drop_probability();
-    queue_target += plan.queue_target;
-  }
-  alpha_ = alpha;
-  ack.applied = applied;
-  ack.alpha = alpha;
-  ack.queue_shed = queue_target;
-  const ActuationSite site =
-      queue_target > 0.0
-          ? (alpha > 0.0 ? ActuationSite::kSplit : ActuationSite::kInNetwork)
-          : ActuationSite::kEntry;
-  ack.site = static_cast<uint32_t>(site);
-  if (site != last_site_) {
-    const std::string detail = std::string(ActuationSiteName(last_site_)) +
-                               " -> " + std::string(ActuationSiteName(site));
-    flight_.RecordEvent("site_switch", detail.c_str(), m_.t);
-    last_site_ = site;
-  }
+  const ActuationFold fold = pipeline_.Actuate(
+      &period_, monitor_.shard_fin(), monitor_.shard_queues(),
+      [this, &a](size_t i, const ActuationPlan& plan,
+                 const PeriodMeasurement& mi) {
+        if (a.queue_shed && budget_poster_) budget_poster_(i, plan, a.seq);
+        return ApplySlice(*shedders_[i], plan, mi);
+      });
+  ack.applied = fold.applied;
+  ack.alpha = fold.alpha;
+  ack.queue_shed = fold.queue_target;
+  ack.site = static_cast<uint32_t>(period_.site);
   return ack;
 }
 

@@ -7,10 +7,9 @@
 
 #include "cluster/wire.h"
 #include "control/actuation_plan.h"
+#include "core/period_pipeline.h"
 #include "rt/rt_monitor.h"
 #include "shedding/shedder.h"
-#include "telemetry/flight_recorder.h"
-#include "telemetry/health.h"
 
 namespace ctrlshed {
 
@@ -26,10 +25,10 @@ struct NodeAgentOptions {
 /// Tick() is RtLoop::ControlTick's measurement half: fold the shard
 /// snapshots through the node's own RtMonitor and emit the upstream stats
 /// report (the monitor's exact PeriodDeltas plus cumulative context).
-/// Apply() is the actuation half: fan the received v(k) out to the shard
-/// shedders proportionally to per-shard offered load — byte-for-byte the
-/// arithmetic of RtLoop::ControlTick's fan-out, which is what makes the
-/// nodes=1/delay=0 cluster identical to the single-process sharded loop.
+/// Apply() is the actuation half: the received v(k) runs through the same
+/// PeriodPipeline fan-out as RtLoop's, one slice per shard, which is what
+/// makes the nodes=1/delay=0 cluster identical to the single-process
+/// sharded loop.
 ///
 /// Not thread-safe: the caller serializes Tick/Apply against each other
 /// and against the admission path's shedder use (the socket runner holds
@@ -64,23 +63,16 @@ class NodeAgent {
   }
 
   const RtMonitor& monitor() const { return monitor_; }
-  const PeriodMeasurement& last_measurement() const { return m_; }
 
   /// Current node-local health verdict (see telemetry/health.h).
   /// Thread-safe against the Tick/Apply thread.
-  HealthReport Health() const { return health_.Report(); }
+  HealthReport Health() const { return pipeline_.Health(); }
 
   /// The agent's flight recorder — the runner annotates transport-level
   /// events (decode rejects, controller drops) into the same ring.
-  FlightRecorder* flight() { return &flight_; }
+  FlightRecorder* flight() { return pipeline_.flight(); }
 
-  double last_alpha() const { return alpha_; }
-  double target_delay() const { return target_delay_; }
-  /// Controller seq of the last actuation applied (0 before the first);
-  /// also stamped into every report's ctrl_seq for trace correlation.
-  uint32_t last_ctrl_seq() const { return ctrl_seq_; }
-  uint32_t node_id() const { return options_.node_id; }
-  int workers() const { return monitor_.num_shards(); }
+  double last_alpha() const { return period_.alpha; }
 
   /// The hello this node announces itself with.
   NodeHello Hello() const;
@@ -96,12 +88,11 @@ class NodeAgent {
   uint32_t seq_ = 0;
   uint32_t ctrl_seq_ = 0;
   bool has_measurement_ = false;
-  PeriodMeasurement m_;
-  double alpha_ = 0.0;
-  double last_v_ = 0.0;  ///< Last commanded admitted rate (for the ring).
-  ActuationSite last_site_ = ActuationSite::kEntry;
-  FlightRecorder flight_{"node"};
-  HealthMonitor health_;
+  /// The last sampled measurement with the last command applied to it: v
+  /// is the commanded rate (the node does not run the control law), α and
+  /// site what its shedders realized.
+  PeriodRecord period_;
+  PeriodPipeline pipeline_;
 };
 
 }  // namespace ctrlshed

@@ -27,27 +27,17 @@
 
 namespace ctrlshed {
 
-namespace {
-constexpr auto kMaxSleepChunk = std::chrono::milliseconds(5);
-
-void SleepUntilWall(std::chrono::steady_clock::time_point deadline,
-                    const std::atomic<bool>* stop) {
-  for (;;) {
-    if (stop != nullptr && stop->load(std::memory_order_relaxed)) return;
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return;
-    const auto remaining = deadline - now;
-    std::this_thread::sleep_for(
-        remaining < std::chrono::steady_clock::duration(kMaxSleepChunk)
-            ? remaining
-            : std::chrono::steady_clock::duration(kMaxSleepChunk));
-  }
+NodeAgentOptions NodeAgentOptionsFor(const ExperimentConfig& base,
+                                     uint32_t node_id) {
+  NodeAgentOptions o;
+  o.node_id = node_id;
+  o.target_delay = base.target_delay;
+  o.monitor.period = base.period;
+  o.monitor.headroom = base.headroom_est;
+  o.monitor.cost_ewma = base.cost_ewma;
+  o.monitor.adapt_headroom = base.adapt_headroom;
+  return o;
 }
-
-bool StopRequested(const std::atomic<bool>* stop) {
-  return stop != nullptr && stop->load(std::memory_order_relaxed);
-}
-}  // namespace
 
 ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
   const ExperimentConfig& base = config.base;
@@ -125,14 +115,8 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
     shedder_ptrs.push_back(shedders.back().get());
   }
 
-  NodeAgentOptions agent_opts;
-  agent_opts.node_id = config.node_id;
-  agent_opts.target_delay = base.target_delay;
-  agent_opts.monitor.period = base.period;
-  agent_opts.monitor.headroom = base.headroom_est;
-  agent_opts.monitor.cost_ewma = base.cost_ewma;
-  agent_opts.monitor.adapt_headroom = base.adapt_headroom;
-  NodeAgent agent(nominal_cost, shedder_ptrs, agent_opts);
+  NodeAgent agent(nominal_cost, shedder_ptrs,
+                  NodeAgentOptionsFor(base, config.node_id));
 
   // One plant mutex serializes the three users of the shedders/agent:
   // ingress admission (serve thread), the period tick (report thread), and
@@ -147,12 +131,7 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
   uint64_t plan_seq = 0;
   agent.SetBudgetPoster(
       [&engines, &plan_seq](size_t i, const ActuationPlan& plan, uint32_t) {
-        RtSharedStats* stats = engines[i]->stats();
-        stats->plan_queue_budget.store(plan.queue_budget_load,
-                                       std::memory_order_relaxed);
-        stats->plan_cost_aware.store(plan.cost_aware ? 1 : 0,
-                                     std::memory_order_relaxed);
-        stats->plan_seq.store(++plan_seq, std::memory_order_release);
+        engines[i]->stats()->PostPlan(plan, ++plan_seq);
       });
 
   if (telemetry && telemetry->server() != nullptr) {
@@ -290,11 +269,12 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
       telemetry ? telemetry->RegisterThread("node.period") : nullptr;
   std::vector<RtSample> samples;
   samples.reserve(static_cast<size_t>(workers));
+  const auto stopping = [&config] { return StopRequested(config.stop); };
   for (int64_t k = 1;; ++k) {
     const SimTime boundary = static_cast<double>(k) * base.period;
     if (boundary > base.duration) break;
-    SleepUntilWall(clock.WallDeadline(boundary), config.stop);
-    if (StopRequested(config.stop)) break;
+    SleepUntilWall(clock.WallDeadline(boundary), stopping);
+    if (stopping()) break;
     ScopedSpan span(period_buf, "cluster.report");
     const SimTime now = clock.Now();
     samples.clear();

@@ -6,6 +6,7 @@
 #include <functional>
 #include <string>
 
+#include "cluster/node_agent.h"
 #include "metrics/histogram.h"
 #include "rt/rt_engine.h"
 #include "runner/experiment.h"
@@ -109,6 +110,11 @@ struct ClusterNodeResult {
 /// period (stats report upstream), and remote actuations applied to the
 /// entry shedders. Blocks until the run completes.
 ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config);
+
+/// The agent options node `node_id` of a `base` run uses (socket runner
+/// and sim).
+NodeAgentOptions NodeAgentOptionsFor(const ExperimentConfig& base,
+                                     uint32_t node_id);
 
 }  // namespace ctrlshed
 

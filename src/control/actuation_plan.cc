@@ -21,6 +21,12 @@ std::string_view ActuationSiteName(ActuationSite site) {
   return "entry";
 }
 
+ActuationSite SiteFor(double queue_target, double alpha) {
+  return queue_target > 0.0 ? (alpha > 0.0 ? ActuationSite::kSplit
+                                           : ActuationSite::kInNetwork)
+                            : ActuationSite::kEntry;
+}
+
 namespace {
 
 // Decomposes the scalar budget over the reported queues: cost-aware planners
@@ -104,10 +110,7 @@ ActuationPlan ActuationPlanner::BuildPlan(double v, const PeriodMeasurement& m,
   const double unachieved = std::max(0.0, remainder - plan.incoming);
   plan.planned_applied = v + unachieved / T;
 
-  plan.site = plan.queue_target > 0.0
-                  ? (plan.entry_alpha > 0.0 ? ActuationSite::kSplit
-                                            : ActuationSite::kInNetwork)
-                  : ActuationSite::kEntry;
+  plan.site = SiteFor(plan.queue_target, plan.entry_alpha);
   DecomposeBudget(fb, plan.queue_budget_load, plan.cost_aware, &plan.budgets);
   return plan;
 }

@@ -23,6 +23,11 @@ enum class ActuationSite : uint8_t {
 
 std::string_view ActuationSiteName(ActuationSite site);
 
+/// The one site rule: entry unless `queue_target` tuples leave operator
+/// queues; then split when entry drops (`alpha` > 0) run alongside,
+/// in-network otherwise.
+ActuationSite SiteFor(double queue_target, double alpha);
+
 /// One operator queue's backlog, as reported upstream into the plan builder
 /// (the punctuation-style inter-operator feedback signal). Engine-independent
 /// so the control layer never touches operator internals directly.

@@ -117,15 +117,21 @@ void PeriodMath::SetHeadroom(double headroom, double max_headroom) {
 }
 
 std::vector<double> ProportionalShares(const std::vector<double>& loads) {
-  std::vector<double> shares(loads.size(), 0.0);
-  if (loads.empty()) return shares;
+  std::vector<double> shares;
+  ProportionalShares(loads, &shares);
+  return shares;
+}
+
+void ProportionalShares(std::span<const double> loads,
+                        std::vector<double>* shares) {
+  shares->resize(loads.size());
+  if (loads.empty()) return;
   double total = 0.0;
   for (double l : loads) total += l;
   const double even = 1.0 / static_cast<double>(loads.size());
   for (size_t i = 0; i < loads.size(); ++i) {
-    shares[i] = total > 0.0 ? loads[i] / total : even;
+    (*shares)[i] = total > 0.0 ? loads[i] / total : even;
   }
-  return shares;
 }
 
 }  // namespace ctrlshed

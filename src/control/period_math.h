@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "control/controller.h"
@@ -143,6 +144,10 @@ class PeriodMath {
 /// aggregate command within floating-point error (well under one tuple
 /// per period).
 std::vector<double> ProportionalShares(const std::vector<double>& loads);
+
+/// The same weights written into `shares`, whose storage is reused.
+void ProportionalShares(std::span<const double> loads,
+                        std::vector<double>* shares);
 
 }  // namespace ctrlshed
 

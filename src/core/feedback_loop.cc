@@ -1,7 +1,6 @@
 #include "core/feedback_loop.h"
 
 #include "common/macros.h"
-#include "telemetry/telemetry.h"
 
 namespace ctrlshed {
 
@@ -25,9 +24,11 @@ FeedbackLoop::FeedbackLoop(Simulation* sim, Engine* engine,
                  return mo;
                }()),
       qos_(options.target_delay),
-      planner_(ActuationPlannerOptions{
-          engine != nullptr ? engine->NominalEntryCost() : 1.0,
-          options.allow_in_network_shed, options.cost_aware_shed}),
+      pipeline_("sim",
+                ActuationPlannerOptions{
+                    engine != nullptr ? engine->NominalEntryCost() : 1.0,
+                    options.allow_in_network_shed, options.cost_aware_shed},
+                options.telemetry),
       target_delay_(options.target_delay) {
   CS_CHECK(sim_ != nullptr);
   CS_CHECK(engine_ != nullptr);
@@ -86,22 +87,20 @@ void FeedbackLoop::SetTargetDelay(double yd) {
 void FeedbackLoop::ControlTick(SimTime now) {
   PeriodMeasurement m = monitor_.Sample(now, offered_, target_delay_);
   if (predictor_ != nullptr) m.fin_forecast = predictor_->Observe(m.fin);
-  double v = 0.0;
-  double alpha = 0.0;
-  ActuationSite site = ActuationSite::kEntry;
+  PeriodRecord rec{.m = m};
   if (controller_ != nullptr) {
-    v = controller_->DesiredRate(m);
     if (options_.allow_in_network_shed) {
       CollectQueueFeedback(*engine_, &feedback_);
     }
-    const ActuationPlan plan = planner_.BuildPlan(v, m, feedback_);
-    const double applied = shedder_->ApplyPlan(plan, m);
-    controller_->NotifyActuation(applied);
-    alpha = shedder_->drop_probability();
-    site = plan.site;
+    rec.v = controller_->DesiredRate(m);
+    const ActuationFold fold = pipeline_.Actuate(
+        &rec, {&m.fin, 1}, {&m.queue, 1},
+        [this](size_t, const ActuationPlan& plan, const PeriodMeasurement& mi) {
+          return ApplySlice(*shedder_, plan, mi);
+        },
+        feedback_);
+    controller_->NotifyActuation(fold.applied);
   }
-  PeriodRecord rec{m, v, alpha, /*lateness=*/0.0, /*shard_q=*/{}};
-  rec.site = site;
   const EngineCounters& counters = engine_->counters();
   rec.queue_shed = counters.shed_lineages - prev_queue_shed_;
   prev_queue_shed_ = counters.shed_lineages;
@@ -110,50 +109,12 @@ void FeedbackLoop::ControlTick(SimTime now) {
       counters.busy_seconds - prev_busy_seconds_);
   prev_drained_base_load_ = counters.drained_base_load;
   prev_busy_seconds_ = counters.busy_seconds;
-  if (site != last_site_) {
-    const std::string detail = std::string(ActuationSiteName(last_site_)) +
-                               " -> " + std::string(ActuationSiteName(site));
-    flight_.RecordEvent("site_switch", detail.c_str(), now);
-    last_site_ = site;
-  }
-  flight_.RecordPeriod(rec);
-  health_.ObservePeriod(rec);
-  health_.SetHeadroom(options_.headroom, rec.h_hat);
-  if (options_.telemetry != nullptr) {
-    options_.telemetry->metrics()
-        ->GetCounter(std::string("actuation.site.") +
-                     std::string(ActuationSiteName(site)))
-        ->Add();
-    options_.telemetry->PublishTimelineRow(rec);
-    health_.SetSelfLoss(/*trace_events=*/0, /*trace_dropped=*/0,
-                        options_.telemetry->sse_rows_published(),
-                        options_.telemetry->sse_rows_dropped());
-  }
-  recorder_.Record(std::move(rec));
-}
-
-double FeedbackLoop::LossRatio() const {
-  if (offered_ == 0) return 0.0;
-  const uint64_t shed = entry_shed_ + engine_->counters().shed_lineages;
-  return static_cast<double>(shed) / static_cast<double>(offered_);
+  pipeline_.Publish(std::move(rec), options_.headroom);
 }
 
 QosSummary FeedbackLoop::Summary() const {
-  QosSummary s;
-  s.accumulated_violation = qos_.accumulated_violation();
-  s.delayed_tuples = qos_.delayed_tuples();
-  s.max_overshoot = qos_.max_overshoot();
-  s.loss_ratio = LossRatio();
-  s.offered = offered_;
-  s.entry_shed = entry_shed_;
-  s.queue_shed = engine_->counters().shed_lineages;
-  s.shed = s.entry_shed + s.ring_dropped + s.queue_shed;
-  s.departures = qos_.departures();
-  s.mean_delay = qos_.mean_delay();
-  s.p50_delay = qos_.delay_histogram().Quantile(0.50);
-  s.p95_delay = qos_.delay_histogram().Quantile(0.95);
-  s.p99_delay = qos_.delay_histogram().Quantile(0.99);
-  return s;
+  return qos_.Summarize(offered_, entry_shed_, /*ring_dropped=*/0,
+                        engine_->counters().shed_lineages);
 }
 
 }  // namespace ctrlshed

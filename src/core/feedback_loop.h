@@ -6,6 +6,7 @@
 #include "control/controller.h"
 #include "control/monitor.h"
 #include "control/rate_predictor.h"
+#include "core/period_pipeline.h"
 #include "engine/engine.h"
 #include <memory>
 
@@ -14,8 +15,6 @@
 #include "metrics/recorder.h"
 #include "shedding/shedder.h"
 #include "sim/simulation.h"
-#include "telemetry/flight_recorder.h"
-#include "telemetry/health.h"
 
 namespace ctrlshed {
 
@@ -48,7 +47,8 @@ struct FeedbackLoopOptions {
 
 /// The complete feedback control loop of Fig. 3: monitor -> controller ->
 /// actuator (shedder) -> plant (engine). This is the paper's contribution
-/// assembled into a reusable component.
+/// assembled into a reusable component: the sim adapter over PeriodPipeline,
+/// with one slice whose plan the shedder applies inline.
 ///
 /// Wiring: route every source's arrivals into OnArrival (the loop applies
 /// the shedder and injects survivors into the engine), call Start once
@@ -87,12 +87,12 @@ class FeedbackLoop {
   // --- Results ------------------------------------------------------------
 
   const QosAccumulator& qos() const { return qos_; }
-  const Recorder& recorder() const { return recorder_; }
+  const Recorder& recorder() const { return pipeline_.recorder(); }
   const Monitor& monitor() const { return monitor_; }
 
   /// Current control-loop health verdict (see telemetry/health.h).
   /// Thread-safe — the telemetry server's /health handler calls it.
-  HealthReport Health() const { return health_.Report(); }
+  HealthReport Health() const { return pipeline_.Health(); }
 
   /// Per-stream statistics, or nullptr when `track_sources` was 0.
   const PerSourceStats* per_source() const { return per_source_.get(); }
@@ -101,7 +101,7 @@ class FeedbackLoop {
   uint64_t entry_shed() const { return entry_shed_; }
 
   /// Total shed tuples (entry drops + in-network shedding) over offered.
-  double LossRatio() const;
+  double LossRatio() const { return Summary().loss_ratio; }
 
   /// End-of-run summary combining delay metrics and loss.
   QosSummary Summary() const;
@@ -117,20 +117,16 @@ class FeedbackLoop {
 
   Monitor monitor_;
   QosAccumulator qos_;
-  Recorder recorder_;
+  PeriodPipeline pipeline_;
   std::unique_ptr<PerSourceStats> per_source_;
 
   DepartureCallback observer_;
   RatePredictor* predictor_ = nullptr;
-  ActuationPlanner planner_;
   QueueFeedback feedback_;  ///< Scratch, refilled each period.
-  FlightRecorder flight_{"sim"};  ///< Post-mortem ring (last periods/events).
-  HealthMonitor health_;
   HeadroomTracker headroom_tracker_;
   uint64_t prev_queue_shed_ = 0;  ///< Engine shed_lineages at last tick.
   double prev_busy_seconds_ = 0.0;
   double prev_drained_base_load_ = 0.0;
-  ActuationSite last_site_ = ActuationSite::kEntry;
   double target_delay_;
   uint64_t offered_ = 0;
   uint64_t entry_shed_ = 0;

@@ -147,6 +147,11 @@ void StreamSystem::Freeze() {
   loop_opts.period = options_.control_period;
   loop_opts.target_delay = options_.target_delay;
   loop_opts.headroom = options_.headroom;
+  // The queue shedder executes the loop's in-network plans; without them
+  // it would plan its own queue removal and the periods would read entry.
+  loop_opts.allow_in_network_shed =
+      controller_ != nullptr && options_.policy != Policy::kAurora &&
+      options_.actuator == Actuator::kQueue;
   if (options_.track_per_stream) {
     loop_opts.track_sources = static_cast<int>(streams_.size());
   }

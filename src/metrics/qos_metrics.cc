@@ -25,4 +25,27 @@ void QosAccumulator::OnDeparture(const Departure& d) {
   }
 }
 
+QosSummary QosAccumulator::Summarize(uint64_t offered, uint64_t entry_shed,
+                                     uint64_t ring_dropped,
+                                     uint64_t queue_shed) const {
+  QosSummary s;
+  s.accumulated_violation = accumulated_violation_;
+  s.delayed_tuples = delayed_tuples_;
+  s.max_overshoot = max_overshoot_;
+  s.offered = offered;
+  s.entry_shed = entry_shed;
+  s.ring_dropped = ring_dropped;
+  s.queue_shed = queue_shed;
+  s.shed = entry_shed + ring_dropped + queue_shed;
+  s.loss_ratio = offered == 0 ? 0.0
+                              : static_cast<double>(s.shed) /
+                                    static_cast<double>(offered);
+  s.departures = departures_;
+  s.mean_delay = mean_delay();
+  s.p50_delay = histogram_.Quantile(0.50);
+  s.p95_delay = histogram_.Quantile(0.95);
+  s.p99_delay = histogram_.Quantile(0.99);
+  return s;
+}
+
 }  // namespace ctrlshed

@@ -8,6 +8,8 @@
 
 namespace ctrlshed {
 
+struct QosSummary;
+
 /// The paper's evaluation metrics (Section 3), accumulated per tuple:
 ///  - accumulated delay violations: sum of (y - yd) over tuples with y > yd;
 ///  - total delayed tuples: count of tuples with y > yd;
@@ -34,8 +36,11 @@ class QosAccumulator {
     return departures_ == 0 ? 0.0 : delay_sum_ / static_cast<double>(departures_);
   }
 
-  /// Full delay distribution (log-bucketed); use for p50/p95/p99 reporting.
-  const LatencyHistogram& delay_histogram() const { return histogram_; }
+  /// End-of-run summary: these delay metrics plus the given shed counts,
+  /// with shed = entry_shed + ring_dropped + queue_shed over offered as
+  /// the loss ratio.
+  QosSummary Summarize(uint64_t offered, uint64_t entry_shed,
+                       uint64_t ring_dropped, uint64_t queue_shed) const;
 
  private:
   double target_delay_;

@@ -25,9 +25,9 @@ struct PeriodRecord {
   /// Per-shard virtual queue lengths at the sample (sums to m.queue).
   /// Empty for unsharded runs — the sim loop and the N = 1 rt loop — so
   /// their exports stay byte-identical.
-  std::vector<double> shard_q;
-  /// Where this period's ActuationPlan placed the shed (entry gate,
-  /// in-network queues, or split across both).
+  std::vector<double> shard_q{};
+  /// Where this period's actuation shed (entry gate, in-network queues, or
+  /// split across both), judged on the realized alpha (see SiteFor).
   ActuationSite site = ActuationSite::kEntry;
   /// Tuples removed from operator queues during the period (in-network
   /// shedding executed; 0 for entry-only runs).
@@ -44,10 +44,6 @@ struct PeriodRecord {
 /// plots (Figs. 15, 16, 18), the telemetry timeline export, and debugging.
 class Recorder {
  public:
-  void Record(const PeriodMeasurement& m, double v, double alpha,
-              double lateness = 0.0, std::vector<double> shard_q = {}) {
-    rows_.push_back(PeriodRecord{m, v, alpha, lateness, std::move(shard_q)});
-  }
   void Record(PeriodRecord row) { rows_.push_back(std::move(row)); }
 
   const std::vector<PeriodRecord>& rows() const { return rows_; }

@@ -1,7 +1,10 @@
 #ifndef CTRLSHED_RT_RT_CLOCK_H_
 #define CTRLSHED_RT_RT_CLOCK_H_
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <thread>
 
 #include "common/macros.h"
 #include "common/sim_time.h"
@@ -55,6 +58,26 @@ class RtClock {
   double compression_;
   std::chrono::steady_clock::time_point start_{};
 };
+
+/// Sleeps until `deadline` in chunks of at most 5 ms and returns early once
+/// `stop()` is true, so a stop request is honored promptly even across long
+/// waits. Callers re-check their stop condition after it returns.
+template <typename StopFn>
+void SleepUntilWall(std::chrono::steady_clock::time_point deadline,
+                    StopFn&& stop) {
+  constexpr std::chrono::steady_clock::duration kMaxChunk =
+      std::chrono::milliseconds(5);
+  while (!stop()) {
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= deadline) return;
+    std::this_thread::sleep_for(std::min(deadline - now, kMaxChunk));
+  }
+}
+
+/// True once the caller-provided stop flag (e.g. a signal handler's) is set.
+inline bool StopRequested(const std::atomic<bool>* stop) {
+  return stop != nullptr && stop->load(std::memory_order_relaxed);
+}
 
 }  // namespace ctrlshed
 

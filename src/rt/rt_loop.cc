@@ -12,10 +12,6 @@
 namespace ctrlshed {
 
 namespace {
-// Longest uninterruptible sleep of the controller thread, so Stop() is
-// honored promptly even with long control periods.
-constexpr auto kMaxSleepChunk = std::chrono::milliseconds(5);
-
 std::vector<RtShard> CheckedShards(std::vector<RtShard> shards,
                                    const LoadController* controller) {
   CS_CHECK_MSG(!shards.empty(), "need at least one shard");
@@ -48,9 +44,11 @@ RtLoop::RtLoop(std::vector<RtShard> shards, const RtClock* clock,
       monitor_(shards_[0].engine->NominalEntryCost(),
                static_cast<int>(shards_.size()), ToMonitorOptions(options)),
       qos_(options.target_delay),
-      planner_(ActuationPlannerOptions{shards_[0].engine->NominalEntryCost(),
-                                       options.queue_shed,
-                                       options.cost_aware_shed}),
+      pipeline_("rt",
+                ActuationPlannerOptions{shards_[0].engine->NominalEntryCost(),
+                                        options.queue_shed,
+                                        options.cost_aware_shed},
+                options.telemetry),
       samples_(shards_.size()),
       shedder_mutexes_(new std::mutex[shards_.size()]),
       target_delay_(options.target_delay) {
@@ -63,12 +61,6 @@ RtLoop::RtLoop(std::vector<RtShard> shards, const RtClock* clock,
     }
   }
 }
-
-RtLoop::RtLoop(RtEngine* engine, const RtClock* clock,
-               LoadController* controller, Shedder* shedder,
-               RtLoopOptions options)
-    : RtLoop(std::vector<RtShard>{{engine, shedder}}, clock, controller,
-             options) {}
 
 RtLoop::~RtLoop() { Stop(); }
 
@@ -179,11 +171,6 @@ void RtLoop::ControllerLoop() {
     trace_buf_ = options_.telemetry->RegisterThread("rt.controller");
     MetricsRegistry* reg = options_.telemetry->metrics();
     lateness_metric_ = reg->GetHistogram("rt.actuation_lateness_s");
-    queue_gauge_ = reg->GetGauge("rt.queue");
-    y_hat_gauge_ = reg->GetGauge("rt.y_hat");
-    alpha_gauge_ = reg->GetGauge("rt.alpha");
-    h_hat_gauge_ = reg->GetGauge("rt.h_hat");
-    health_gauges_.Init(reg);
     if (shards_.size() > 1) {
       for (size_t i = 0; i < shards_.size(); ++i) {
         const std::string prefix = "rt.shard" + std::to_string(i);
@@ -193,21 +180,14 @@ void RtLoop::ControllerLoop() {
       }
     }
   }
-  int k = 0;
-  while (!stop_.load(std::memory_order_acquire)) {
-    ++k;
+  const auto stopping = [this] {
+    return stop_.load(std::memory_order_acquire);
+  };
+  for (int k = 1; !stopping(); ++k) {
     const auto deadline =
         clock_->WallDeadline(static_cast<SimTime>(k) * options_.period);
-    while (!stop_.load(std::memory_order_acquire)) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) break;
-      const auto remaining = deadline - now;
-      std::this_thread::sleep_for(
-          remaining < std::chrono::steady_clock::duration(kMaxSleepChunk)
-              ? remaining
-              : std::chrono::steady_clock::duration(kMaxSleepChunk));
-    }
-    if (stop_.load(std::memory_order_acquire)) break;
+    SleepUntilWall(deadline, stopping);
+    if (stopping()) break;
     // Actuation jitter: how late past the period boundary this tick runs.
     const double lateness =
         std::max(0.0, std::chrono::duration<double>(
@@ -250,106 +230,47 @@ void RtLoop::ControlTick(SimTime now, double lateness_wall) {
       }
     }
   }
-  double v = 0.0;
-  double alpha = 0.0;
-  ActuationSite site = ActuationSite::kEntry;
+  PeriodRecord rec{.m = m, .lateness = lateness_wall};
   if (controller_ != nullptr) {
     ScopedSpan actuate_span(trace_buf_, "actuate");
-    v = controller_->DesiredRate(m);
-    // Fan the one admitted rate back out per shard, proportionally to
-    // each shard's offered rate over the last period (even split when
-    // nothing arrived anywhere). Each shard gets its own ActuationPlan
-    // over its slice of the measurement; at N = 1 share == 1.0 exactly
-    // and (entry-only) this reduces to the historical single-shedder
-    // actuation bit for bit.
-    const std::vector<double>& shard_fin = monitor_.shard_fin();
-    const std::vector<double>& shard_queues = monitor_.shard_queues();
-    const std::vector<double> shares = ProportionalShares(shard_fin);
-    double applied = 0.0;
-    double queue_target_total = 0.0;
+    // One slice per shard. Per-queue feedback stays worker-side in rt: the
+    // shard's virtual queue is the backlog signal that crossed the stats
+    // surface, and it is what clamps queue_target. The workers own the
+    // queues, so the in-network budget only goes out through the handshake.
     ++plan_seq_;
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      const double share = shares[i];
-      PeriodMeasurement mi = m;
-      mi.fin = shard_fin[i];
-      mi.fin_forecast = m.fin_forecast * share;
-      mi.admitted = m.admitted * share;
-      mi.queue = shard_queues[i];
-      // Per-queue feedback stays worker-side in rt; the shard's virtual
-      // queue (via outstanding_base_load) is the backlog signal that
-      // crossed the stats surface, and it is what clamps queue_target.
-      const ActuationPlan plan = planner_.BuildPlan(v * share, mi);
-      if (options_.queue_shed) {
-        // Post the in-network budget to the worker: payload first
-        // (relaxed), then the release-store of the sequence the worker
-        // acquires. The worker owns the queues; we never touch them.
-        RtSharedStats* stats = shards_[i].engine->stats();
-        stats->plan_queue_budget.store(plan.queue_budget_load,
-                                       std::memory_order_relaxed);
-        stats->plan_cost_aware.store(plan.cost_aware ? 1 : 0,
-                                     std::memory_order_relaxed);
-        stats->plan_seq.store(plan_seq_, std::memory_order_release);
-      }
-      queue_target_total += plan.queue_target;
-      double alpha_i = 0.0;
-      {
-        std::lock_guard<std::mutex> lock(shedder_mutexes_[i]);
-        applied += shards_[i].shedder->ApplyPlan(plan, mi);
-        alpha_i = shards_[i].shedder->drop_probability();
-      }
-      alpha += share * alpha_i;
-      if (i < shard_alpha_gauges_.size()) {
-        shard_queue_gauges_[i]->Set(shard_queues[i]);
-        shard_alpha_gauges_[i]->Set(alpha_i);
-        const double h_hat_i = monitor_.shard_h_hat()[i];
-        if (h_hat_i == h_hat_i) shard_h_hat_gauges_[i]->Set(h_hat_i);
-      }
-    }
-    controller_->NotifyActuation(applied);
-    if (queue_target_total > 0.0) {
-      site = alpha > 0.0 ? ActuationSite::kSplit : ActuationSite::kInNetwork;
-    }
+    rec.v = controller_->DesiredRate(m);
+    const ActuationFold fold = pipeline_.Actuate(
+        &rec, monitor_.shard_fin(), monitor_.shard_queues(),
+        [this](size_t i, const ActuationPlan& plan,
+               const PeriodMeasurement& mi) {
+          if (options_.queue_shed) {
+            shards_[i].engine->stats()->PostPlan(plan, plan_seq_);
+          }
+          SliceActuation s;
+          {
+            std::lock_guard<std::mutex> lock(shedder_mutexes_[i]);
+            s = ApplySlice(*shards_[i].shedder, plan, mi);
+          }
+          if (i < shard_alpha_gauges_.size()) {
+            shard_queue_gauges_[i]->Set(mi.queue);
+            shard_alpha_gauges_[i]->Set(s.alpha);
+            const double h_hat_i = monitor_.shard_h_hat()[i];
+            if (h_hat_i == h_hat_i) shard_h_hat_gauges_[i]->Set(h_hat_i);
+          }
+          return s;
+        });
+    controller_->NotifyActuation(fold.applied);
   }
   actuation_lateness_.Record(lateness_wall);
   if (lateness_metric_ != nullptr) lateness_metric_->Record(lateness_wall);
-  const double h_hat = monitor_.h_hat();
-  if (queue_gauge_ != nullptr) {
-    queue_gauge_->Set(m.queue);
-    y_hat_gauge_->Set(m.y_hat);
-    alpha_gauge_->Set(alpha);
-    if (h_hat == h_hat) h_hat_gauge_->Set(h_hat);
-  }
-  PeriodRecord rec{m, v, alpha, lateness_wall,
-                   shards_.size() > 1 ? monitor_.shard_queues()
-                                      : std::vector<double>{}};
-  rec.site = site;
-  rec.h_hat = h_hat;
+  rec.h_hat = monitor_.h_hat();
+  if (shards_.size() > 1) rec.shard_q = monitor_.shard_queues();
   // Executed in-network drops this period (lags the posted budget by up to
   // one pump — the workers drain it asynchronously).
   const uint64_t queue_shed_total = SumStat(&RtSharedStats::queue_shed);
   rec.queue_shed = static_cast<double>(queue_shed_total - prev_queue_shed_);
   prev_queue_shed_ = queue_shed_total;
-  if (site != last_site_) {
-    const std::string detail = std::string(ActuationSiteName(last_site_)) +
-                               " -> " + std::string(ActuationSiteName(site));
-    flight_.RecordEvent("site_switch", detail.c_str(), now);
-    last_site_ = site;
-  }
-  flight_.RecordPeriod(rec);
-  health_.ObservePeriod(rec);
-  health_.SetHeadroom(options_.headroom, h_hat);
-  if (options_.telemetry != nullptr) {
-    options_.telemetry->metrics()
-        ->GetCounter(std::string("actuation.site.") +
-                     std::string(ActuationSiteName(site)))
-        ->Add();
-    options_.telemetry->PublishTimelineRow(rec);
-    health_.SetSelfLoss(/*trace_events=*/0, /*trace_dropped=*/0,
-                        options_.telemetry->sse_rows_published(),
-                        options_.telemetry->sse_rows_dropped());
-    health_gauges_.Publish(health_.Report());
-  }
-  recorder_.Record(std::move(rec));
+  pipeline_.Publish(std::move(rec), options_.headroom);
 }
 
 uint64_t RtLoop::SumStat(
@@ -371,31 +292,9 @@ uint64_t RtLoop::ring_dropped() const {
   return SumStat(&RtSharedStats::ring_dropped);
 }
 
-double RtLoop::LossRatio() const {
-  const uint64_t off = offered();
-  if (off == 0) return 0.0;
-  const uint64_t shed = entry_shed() + ring_dropped() +
-                        SumStat(&RtSharedStats::queue_shed);
-  return static_cast<double>(shed) / static_cast<double>(off);
-}
-
 QosSummary RtLoop::Summary() const {
-  QosSummary s;
-  s.accumulated_violation = qos_.accumulated_violation();
-  s.delayed_tuples = qos_.delayed_tuples();
-  s.max_overshoot = qos_.max_overshoot();
-  s.loss_ratio = LossRatio();
-  s.offered = offered();
-  s.entry_shed = entry_shed();
-  s.ring_dropped = ring_dropped();
-  s.queue_shed = SumStat(&RtSharedStats::queue_shed);
-  s.shed = s.entry_shed + s.ring_dropped + s.queue_shed;
-  s.departures = qos_.departures();
-  s.mean_delay = qos_.mean_delay();
-  s.p50_delay = qos_.delay_histogram().Quantile(0.50);
-  s.p95_delay = qos_.delay_histogram().Quantile(0.95);
-  s.p99_delay = qos_.delay_histogram().Quantile(0.99);
-  return s;
+  return qos_.Summarize(offered(), entry_shed(), ring_dropped(),
+                        SumStat(&RtSharedStats::queue_shed));
 }
 
 }  // namespace ctrlshed

@@ -10,14 +10,13 @@
 
 #include "control/controller.h"
 #include "control/rate_predictor.h"
+#include "core/period_pipeline.h"
 #include "metrics/qos_metrics.h"
 #include "metrics/recorder.h"
 #include "rt/rt_clock.h"
 #include "rt/rt_engine.h"
 #include "rt/rt_monitor.h"
 #include "shedding/shedder.h"
-#include "telemetry/flight_recorder.h"
-#include "telemetry/health.h"
 
 namespace ctrlshed {
 
@@ -81,9 +80,11 @@ struct RtLoopOptions {
 ///    the shard engine's lock-free ingress ring.
 ///  - The controller thread wakes at every period boundary, snapshots all
 ///    shards' shared atomics at one clock read (the aggregation barrier),
-///    runs the monitor/controller math, and reconfigures each shedder
-///    under its mutex. Controller, monitor, predictor and recorder are
-///    touched by this thread only.
+///    and runs the rest of the period through PeriodPipeline with one
+///    slice per shard: each plan's in-network budget goes out through the
+///    RtSharedStats handshake and the shedder applies the plan under its
+///    mutex. Controller, monitor, predictor and recorder are touched by
+///    this thread only.
 ///  - QoS accounting rides the N engine workers' departure callbacks,
 ///    serialized by a departure mutex, and is read by other threads only
 ///    after Stop() (joins give happens-before).
@@ -95,10 +96,6 @@ class RtLoop {
   /// otherwise.
   RtLoop(std::vector<RtShard> shards, const RtClock* clock,
          LoadController* controller, RtLoopOptions options);
-
-  /// Single-shard convenience, the historical signature.
-  RtLoop(RtEngine* engine, const RtClock* clock, LoadController* controller,
-         Shedder* shedder, RtLoopOptions options);
   ~RtLoop();
 
   RtLoop(const RtLoop&) = delete;
@@ -140,14 +137,14 @@ class RtLoop {
 
   // --- Results (valid after Stop()) --------------------------------------
 
-  const Recorder& recorder() const { return recorder_; }
+  const Recorder& recorder() const { return pipeline_.recorder(); }
   const RtMonitor& monitor() const { return monitor_; }
   const QosAccumulator& qos() const { return qos_; }
 
   /// Current control-loop health verdict (see telemetry/health.h).
   /// Thread-safe — the telemetry server's /health handler calls it while
   /// the controller thread keeps feeding periods.
-  HealthReport Health() const { return health_.Report(); }
+  HealthReport Health() const { return pipeline_.Health(); }
 
   /// Wall-clock lateness of each control tick past its period deadline
   /// (actuation jitter). Only valid after Stop().
@@ -164,7 +161,7 @@ class RtLoop {
   /// Total shed tuples (entry drops + ring overflow + in-network) over
   /// offered. Ring overflow counts as loss: a full ingress queue sheds
   /// load whether the controller asked for it or not.
-  double LossRatio() const;
+  double LossRatio() const { return Summary().loss_ratio; }
 
   /// End-of-run summary on the same reporting path as the sim loop.
   QosSummary Summary() const;
@@ -183,21 +180,20 @@ class RtLoop {
 
   RtMonitor monitor_;
   QosAccumulator qos_;
-  Recorder recorder_;
-  FlightRecorder flight_{"rt"};  ///< Post-mortem ring (last periods/events).
-  HealthMonitor health_;
-  HealthGauges health_gauges_;
+  PeriodPipeline pipeline_;
   DepartureCallback observer_;
   RatePredictor* predictor_ = nullptr;
 
-  // Actuation plane (controller thread only): the per-shard plan builder,
-  // the handshake sequence posted to the workers, and the last aggregate
-  // queue-shed total (for per-period timeline deltas).
-  ActuationPlanner planner_;
+  // Actuation plane (controller thread only): the handshake sequence
+  // posted to the workers, and the last aggregate queue-shed total (for
+  // per-period timeline deltas).
   uint64_t plan_seq_ = 0;
   uint64_t prev_queue_shed_ = 0;
 
-  // Controller-thread scratch, sized once (no per-tick allocation).
+  // Controller-thread scratch, sized once. The tick still allocates for
+  // what it keeps or serializes: the recorder row (and its shard_q copy
+  // when N > 1) and, with telemetry on, the timeline row and the health
+  // report behind the health gauges.
   std::vector<RtSample> samples_;
 
   // Adaptive-quantum state (controller thread only): the quantum each
@@ -209,18 +205,13 @@ class RtLoop {
   LatencyHistogram actuation_lateness_{1e-6, 1e3, 1.08};
   TraceBuffer* trace_buf_ = nullptr;
   HistogramMetric* lateness_metric_ = nullptr;
-  Gauge* queue_gauge_ = nullptr;
-  Gauge* y_hat_gauge_ = nullptr;
-  Gauge* alpha_gauge_ = nullptr;
-  Gauge* h_hat_gauge_ = nullptr;
   // Per-shard decomposition gauges, registered only when num_shards > 1
   // (the unsharded telemetry surface is unchanged).
   std::vector<Gauge*> shard_queue_gauges_;
   std::vector<Gauge*> shard_alpha_gauges_;
   std::vector<Gauge*> shard_h_hat_gauges_;
-  ActuationSite last_site_ = ActuationSite::kEntry;
 
-  /// One mutex per shard guarding Admit (source threads) vs Configure
+  /// One mutex per shard guarding Admit (source threads) vs ApplyPlan
   /// (controller thread) on that shard's shedder.
   std::unique_ptr<std::mutex[]> shedder_mutexes_;
   /// Serializes the N workers' departure fan-in into qos_/observer_.

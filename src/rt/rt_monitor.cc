@@ -105,10 +105,4 @@ PeriodMeasurement RtMonitor::Sample(const std::vector<RtSample>& shards,
   return math_.Sample(pc, target_delay, elapsed);
 }
 
-PeriodMeasurement RtMonitor::Sample(const RtSample& s, double target_delay) {
-  CS_CHECK_MSG(num_shards_ == 1,
-               "single-sample Sample on a multi-shard monitor");
-  return Sample(std::vector<RtSample>{s}, target_delay);
-}
-
 }  // namespace ctrlshed

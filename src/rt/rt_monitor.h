@@ -59,18 +59,11 @@ class RtMonitor {
   RtMonitor(double nominal_entry_cost, int num_shards,
             RtMonitorOptions options);
 
-  /// Single-shard convenience (the N = 1 plant).
-  RtMonitor(double nominal_entry_cost, RtMonitorOptions options)
-      : RtMonitor(nominal_entry_cost, 1, options) {}
-
   /// Forms the aggregate measurement for the period ending at the common
   /// snapshot time. `shards` holds one snapshot per shard, all taken at
   /// the same `now`, in shard order; its size must equal num_shards().
   PeriodMeasurement Sample(const std::vector<RtSample>& shards,
                            double target_delay);
-
-  /// Single-shard convenience.
-  PeriodMeasurement Sample(const RtSample& s, double target_delay);
 
   double CostEstimate() const { return math_.CostEstimate(); }
   double HeadroomEstimate() const { return math_.HeadroomEstimate(); }

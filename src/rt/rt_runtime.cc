@@ -27,30 +27,6 @@
 
 namespace ctrlshed {
 
-namespace {
-constexpr auto kMaxSleepChunk = std::chrono::milliseconds(5);
-
-// Interruptible absolute sleep on the main thread: wakes early when the
-// caller-provided stop flag (e.g. a signal handler's) flips true.
-void SleepUntilWall(std::chrono::steady_clock::time_point deadline,
-                    const std::atomic<bool>* stop) {
-  for (;;) {
-    if (stop != nullptr && stop->load(std::memory_order_relaxed)) return;
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return;
-    const auto remaining = deadline - now;
-    std::this_thread::sleep_for(
-        remaining < std::chrono::steady_clock::duration(kMaxSleepChunk)
-            ? remaining
-            : std::chrono::steady_clock::duration(kMaxSleepChunk));
-  }
-}
-
-bool StopRequested(const std::atomic<bool>* stop) {
-  return stop != nullptr && stop->load(std::memory_order_relaxed);
-}
-}  // namespace
-
 std::string RtConfigError(const RtRunConfig& config) {
   const ExperimentConfig& base = config.base;
   if (base.capacity_rate <= 0.0) {
@@ -275,12 +251,13 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
   }
 
   phase.emplace(main_buf, "replay");
+  const auto stopping = [&config] { return StopRequested(config.stop); };
   for (const auto& [when, yd] : schedule) {
-    SleepUntilWall(clock.WallDeadline(when), config.stop);
-    if (StopRequested(config.stop)) break;
+    SleepUntilWall(clock.WallDeadline(when), stopping);
+    if (stopping()) break;
     loop.SetTargetDelay(yd);
   }
-  SleepUntilWall(clock.WallDeadline(base.duration), config.stop);
+  SleepUntilWall(clock.WallDeadline(base.duration), stopping);
 
   // Teardown order: sources first (no new arrivals), then the loop (which
   // stops the controller thread, then the engine workers).

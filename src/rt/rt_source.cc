@@ -14,8 +14,6 @@ namespace {
 // Rates below this are treated as "no arrivals in this slot" (same
 // threshold as the sim-side ArrivalSource).
 constexpr double kMinRate = 1e-9;
-// Longest uninterruptible sleep, so Stop() is honored promptly.
-constexpr auto kMaxSleepChunk = std::chrono::milliseconds(5);
 }  // namespace
 
 RtArrivalSource::RtArrivalSource(int source_index, RateTrace trace,
@@ -84,22 +82,16 @@ void RtArrivalSource::Run() {
   }
   SimTime t = NextArrival(0.0);
   const SimTime end = trace_.Duration();
+  const auto stopping = [this] {
+    return stop_.load(std::memory_order_acquire);
+  };
 
-  while (!stop_.load(std::memory_order_acquire) && t <= end) {
+  while (!stopping() && t <= end) {
     // Sleep (in interruptible chunks) until the arrival is due; arrivals
     // already in the past are delivered immediately, in order — the replay
     // catches up rather than silently thinning the trace.
-    const auto deadline = clock_->WallDeadline(t);
-    while (!stop_.load(std::memory_order_acquire)) {
-      const auto now = Clock::now();
-      if (now >= deadline) break;
-      const auto remaining = deadline - now;
-      std::this_thread::sleep_for(
-          remaining < kMaxSleepChunk
-              ? std::chrono::duration_cast<Clock::duration>(remaining)
-              : Clock::duration(kMaxSleepChunk));
-    }
-    if (stop_.load(std::memory_order_acquire)) break;
+    SleepUntilWall(clock_->WallDeadline(t), stopping);
+    if (stopping()) break;
 
     // Gather every arrival that is already due into one batch: on-time
     // replay wakes per arrival (n == 1, the seed-identical path), while a

@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "common/sim_time.h"
+#include "control/actuation_plan.h"
 
 namespace ctrlshed {
 
@@ -83,6 +84,14 @@ struct RtSharedStats {
   std::atomic<uint64_t> plan_seq{0};
   std::atomic<double> plan_queue_budget{0.0};  ///< Base-load seconds to shed.
   std::atomic<uint32_t> plan_cost_aware{0};    ///< Victim policy (bool).
+
+  /// Posts `plan`'s in-network budget as handshake number `seq` (one
+  /// controlling thread at a time; sequences must grow).
+  void PostPlan(const ActuationPlan& plan, uint64_t seq) {
+    plan_queue_budget.store(plan.queue_budget_load, std::memory_order_relaxed);
+    plan_cost_aware.store(plan.cost_aware ? 1 : 0, std::memory_order_relaxed);
+    plan_seq.store(seq, std::memory_order_release);
+  }
 
   /// Adaptive scheduler quantum (controller -> worker). Unlike the shed
   /// budget this is a self-contained value, not a one-shot grant, so it

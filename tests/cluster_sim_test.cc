@@ -157,7 +157,7 @@ Recorder RunSingleProcessReference(const ExperimentConfig& base, int workers) {
       alpha += share * shards[i].shedder->drop_probability();
     }
     controller.NotifyActuation(applied);
-    recorder.Record(m, v, alpha);
+    recorder.Record(PeriodRecord{m, v, alpha});
     return true;
   });
 

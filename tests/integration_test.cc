@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <type_traits>
 
 #include "core/feedback_loop.h"
 #include "runner/experiment.h"
@@ -16,8 +17,13 @@ namespace {
 struct GridCase {
   Method method;
   WorkloadKind workload;
-  bool queue_shedder;
+  // int, not bool: gtest prints a case as its raw bytes and ctest names
+  // the test after that print, so a bool here would put three
+  // uninitialised padding bytes into the test name.
+  int queue_shedder;
 };
+static_assert(std::has_unique_object_representations_v<GridCase>,
+              "GridCase must have no padding: its bytes are its test name");
 
 class FullGrid : public ::testing::TestWithParam<GridCase> {};
 
@@ -26,7 +32,7 @@ TEST_P(FullGrid, InvariantsHold) {
   ExperimentConfig cfg;
   cfg.method = gc.method;
   cfg.workload = gc.workload;
-  cfg.use_queue_shedder = gc.queue_shedder;
+  cfg.use_queue_shedder = gc.queue_shedder != 0;
   cfg.duration = 150.0;
   cfg.vary_cost = true;
   cfg.estimation_noise = 0.1;

@@ -74,9 +74,9 @@ TEST(RecorderTest, StoresRowsInOrder) {
   PeriodMeasurement m;
   m.t = 1.0;
   m.fin = 100.0;
-  r.Record(m, 90.0, 0.1);
+  r.Record(PeriodRecord{m, 90.0, 0.1});
   m.t = 2.0;
-  r.Record(m, 80.0, 0.2);
+  r.Record(PeriodRecord{m, 80.0, 0.2});
   ASSERT_EQ(r.rows().size(), 2u);
   EXPECT_DOUBLE_EQ(r.rows()[0].m.t, 1.0);
   EXPECT_DOUBLE_EQ(r.rows()[1].v, 80.0);
@@ -89,7 +89,7 @@ TEST(RecorderTest, WriteProducesHeaderAndRows) {
   m.t = 1.0;
   m.cost = 0.005;
   m.y_hat = 1.25;
-  r.Record(m, 50.0, 0.0);
+  r.Record(PeriodRecord{m, 50.0, 0.0});
   std::ostringstream out;
   r.Write(out);
   const std::string text = out.str();
@@ -137,7 +137,7 @@ TEST(RecorderCsvTest, HeaderAndDerivedSignals) {
   m.y_hat = 1.75;
   m.y_measured = 1.9;
   m.has_y_measured = true;
-  r.Record(m, 85.0, 0.2, 0.0015);
+  r.Record(PeriodRecord{m, 85.0, 0.2, 0.0015});
 
   std::ostringstream out;
   r.WriteCsv(out);
@@ -178,7 +178,7 @@ TEST(RecorderCsvTest, DoublesRoundTripExactly) {
   m.fin = 12345.6789012345678;
   m.y_hat = 1e-17;
   m.has_y_measured = false;
-  r.Record(m, 1.0 / 7.0, 0.123456789012345678);
+  r.Record(PeriodRecord{m, 1.0 / 7.0, 0.123456789012345678});
 
   std::ostringstream out;
   r.WriteCsv(out);

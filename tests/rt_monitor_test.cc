@@ -23,7 +23,7 @@ RtMonitorOptions Opts() {
 }
 
 TEST(RtMonitorTest, FirstSampleRatesAndQueue) {
-  RtMonitor mon(kNominalCost, Opts());
+  RtMonitor mon(kNominalCost, 1, Opts());
 
   RtSample s;
   s.now = 1.0;
@@ -34,7 +34,7 @@ TEST(RtMonitorTest, FirstSampleRatesAndQueue) {
   s.queued_tuples = 20;
   s.outstanding_base_load = 20 * kNominalCost;
 
-  PeriodMeasurement m = mon.Sample(s, 2.0);
+  PeriodMeasurement m = mon.Sample({s}, 2.0);
   EXPECT_EQ(m.k, 1);
   EXPECT_DOUBLE_EQ(m.t, 1.0);
   EXPECT_DOUBLE_EQ(m.fin, 100.0);
@@ -48,12 +48,12 @@ TEST(RtMonitorTest, FirstSampleRatesAndQueue) {
 }
 
 TEST(RtMonitorTest, DeltasUseActualElapsedTime) {
-  RtMonitor mon(kNominalCost, Opts());
+  RtMonitor mon(kNominalCost, 1, Opts());
 
   RtSample s1;
   s1.now = 1.0;
   s1.offered = 100;
-  mon.Sample(s1, 2.0);
+  mon.Sample({s1}, 2.0);
 
   // The controller thread overslept: this "1-second" period actually
   // spans 2 s of trace time. Rates must divide by the real elapsed time.
@@ -64,7 +64,7 @@ TEST(RtMonitorTest, DeltasUseActualElapsedTime) {
   s2.drained_base_load = 100 * kNominalCost;
   s2.busy_seconds = 100 * kNominalCost;
 
-  PeriodMeasurement m = mon.Sample(s2, 2.0);
+  PeriodMeasurement m = mon.Sample({s2}, 2.0);
   EXPECT_EQ(m.k, 2);
   EXPECT_DOUBLE_EQ(m.fin, 150.0);
   EXPECT_DOUBLE_EQ(m.admitted, 100.0);
@@ -74,7 +74,7 @@ TEST(RtMonitorTest, DeltasUseActualElapsedTime) {
 }
 
 TEST(RtMonitorTest, MeasuredCostTracksBusyOverDrained) {
-  RtMonitor mon(kNominalCost, Opts());
+  RtMonitor mon(kNominalCost, 1, Opts());
 
   RtSample s;
   s.now = 1.0;
@@ -87,38 +87,38 @@ TEST(RtMonitorTest, MeasuredCostTracksBusyOverDrained) {
   s.queued_tuples = 10;
   s.outstanding_base_load = 10 * kNominalCost;
 
-  PeriodMeasurement m = mon.Sample(s, 2.0);
+  PeriodMeasurement m = mon.Sample({s}, 2.0);
   EXPECT_NEAR(m.cost, 2 * kNominalCost, 1e-12);
   EXPECT_NEAR(m.y_hat, 11.0 * 2 * kNominalCost, 1e-12);
   EXPECT_NEAR(mon.CostEstimate(), 2 * kNominalCost, 1e-12);
 }
 
 TEST(RtMonitorTest, CostEstimateKeepsLastValueWhenNothingDrained) {
-  RtMonitor mon(kNominalCost, Opts());
+  RtMonitor mon(kNominalCost, 1, Opts());
 
   RtSample s1;
   s1.now = 1.0;
   s1.drained_base_load = 50 * kNominalCost;
   s1.busy_seconds = 1.5 * 50 * kNominalCost;
-  PeriodMeasurement m1 = mon.Sample(s1, 2.0);
+  PeriodMeasurement m1 = mon.Sample({s1}, 2.0);
   EXPECT_NEAR(m1.cost, 1.5 * kNominalCost, 1e-12);
 
   // An idle period (nothing drained) must not corrupt the estimate.
   RtSample s2 = s1;
   s2.now = 2.0;
-  PeriodMeasurement m2 = mon.Sample(s2, 2.0);
+  PeriodMeasurement m2 = mon.Sample({s2}, 2.0);
   EXPECT_NEAR(m2.cost, 1.5 * kNominalCost, 1e-12);
   EXPECT_DOUBLE_EQ(m2.fout, 0.0);
 }
 
 TEST(RtMonitorTest, MeasuredDelayIsPerPeriodDelta) {
-  RtMonitor mon(kNominalCost, Opts());
+  RtMonitor mon(kNominalCost, 1, Opts());
 
   RtSample s1;
   s1.now = 1.0;
   s1.delay_sum = 10.0;
   s1.delay_count = 5;
-  PeriodMeasurement m1 = mon.Sample(s1, 2.0);
+  PeriodMeasurement m1 = mon.Sample({s1}, 2.0);
   ASSERT_TRUE(m1.has_y_measured);
   EXPECT_DOUBLE_EQ(m1.y_measured, 2.0);
 
@@ -126,25 +126,25 @@ TEST(RtMonitorTest, MeasuredDelayIsPerPeriodDelta) {
   // re-reported.
   RtSample s2 = s1;
   s2.now = 2.0;
-  PeriodMeasurement m2 = mon.Sample(s2, 2.0);
+  PeriodMeasurement m2 = mon.Sample({s2}, 2.0);
   EXPECT_FALSE(m2.has_y_measured);
 
   RtSample s3 = s2;
   s3.now = 3.0;
   s3.delay_sum = 16.0;  // +6 over +2 departures -> mean 3
   s3.delay_count = 7;
-  PeriodMeasurement m3 = mon.Sample(s3, 2.0);
+  PeriodMeasurement m3 = mon.Sample({s3}, 2.0);
   ASSERT_TRUE(m3.has_y_measured);
   EXPECT_DOUBLE_EQ(m3.y_measured, 3.0);
 }
 
 TEST(RtMonitorTest, EmptyQueueClampsResidue) {
-  RtMonitor mon(kNominalCost, Opts());
+  RtMonitor mon(kNominalCost, 1, Opts());
   RtSample s;
   s.now = 1.0;
   s.queued_tuples = 0;
   s.outstanding_base_load = 1e-16;  // incremental bookkeeping residue
-  PeriodMeasurement m = mon.Sample(s, 2.0);
+  PeriodMeasurement m = mon.Sample({s}, 2.0);
   EXPECT_DOUBLE_EQ(m.queue, 0.0);
 }
 
@@ -153,7 +153,7 @@ TEST(RtMonitorTest, AdaptiveHeadroomConvergesUnderSaturation) {
   o.headroom = 0.90;  // wrong belief; the "engine" actually gets 0.6
   o.adapt_headroom = true;
   o.headroom_ewma = 0.5;
-  RtMonitor mon(kNominalCost, o);
+  RtMonitor mon(kNominalCost, 1, o);
 
   RtSample s;
   double busy = 0.0;
@@ -164,18 +164,18 @@ TEST(RtMonitorTest, AdaptiveHeadroomConvergesUnderSaturation) {
     s.drained_base_load = busy;
     s.queued_tuples = 100;  // persistently backlogged
     s.outstanding_base_load = 100 * kNominalCost;
-    mon.Sample(s, 2.0);
+    mon.Sample({s}, 2.0);
   }
   EXPECT_NEAR(mon.HeadroomEstimate(), 0.6, 0.01);
 }
 
 TEST(RtMonitorDeathTest, RejectsNonMonotonicTime) {
-  RtMonitor mon(kNominalCost, Opts());
+  RtMonitor mon(kNominalCost, 1, Opts());
   RtSample s;
   s.now = 2.0;
-  mon.Sample(s, 2.0);
+  mon.Sample({s}, 2.0);
   s.now = 1.5;
-  EXPECT_DEATH(mon.Sample(s, 2.0), "forward");
+  EXPECT_DEATH(mon.Sample({s}, 2.0), "forward");
 }
 
 // --- Multi-shard aggregation -----------------------------------------------
@@ -257,7 +257,7 @@ TEST(RtMonitorShardedTest, AggregateMatchesEquivalentSinglePlant) {
       a.outstanding_base_load + b.outstanding_base_load;
 
   PeriodMeasurement ms = sharded.Sample({a, b}, 2.0);
-  PeriodMeasurement mr = reference.Sample(sum, 2.0);
+  PeriodMeasurement mr = reference.Sample({sum}, 2.0);
   EXPECT_DOUBLE_EQ(ms.fin, mr.fin);
   EXPECT_DOUBLE_EQ(ms.fout, mr.fout);
   EXPECT_DOUBLE_EQ(ms.queue, mr.queue);

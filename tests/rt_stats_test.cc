@@ -40,14 +40,14 @@ void Publish(RtSharedStats* stats, uint64_t admitted, uint64_t departed,
 // the exporter and timeline depend on that.
 TEST(RtSharedStatsTest, MidPumpSkewNeverProducesNegativeRates) {
   RtSharedStats stats;
-  RtMonitor monitor(kCost, MonitorOptions());
+  RtMonitor monitor(kCost, 1, MonitorOptions());
 
   // Period 1: sources offered 100; the engine has pumped and published
   // all of them.
   stats.offered.fetch_add(100, std::memory_order_relaxed);
   Publish(&stats, /*admitted=*/100, /*departed=*/90, /*busy=*/0.09,
           /*drained=*/0.09, /*queued=*/10, /*outstanding=*/10 * kCost);
-  PeriodMeasurement m1 = monitor.Sample(stats.Snapshot(1.0), 2.0);
+  PeriodMeasurement m1 = monitor.Sample({stats.Snapshot(1.0)}, 2.0);
   EXPECT_GE(m1.fin, 0.0);
   EXPECT_GE(m1.admitted, 0.0);
   EXPECT_GE(m1.fout, 0.0);
@@ -58,7 +58,7 @@ TEST(RtSharedStatsTest, MidPumpSkewNeverProducesNegativeRates) {
   // Publish (it is holding those 80 tuples in the rings). This is the
   // worst skew Snapshot allows — engine fields lag by one pump.
   stats.offered.fetch_add(80, std::memory_order_relaxed);
-  PeriodMeasurement m2 = monitor.Sample(stats.Snapshot(2.0), 2.0);
+  PeriodMeasurement m2 = monitor.Sample({stats.Snapshot(2.0)}, 2.0);
   EXPECT_GE(m2.fin, 0.0);
   EXPECT_GE(m2.admitted, 0.0);  // delta is 0, not negative
   EXPECT_GE(m2.fout, 0.0);
@@ -70,7 +70,7 @@ TEST(RtSharedStatsTest, MidPumpSkewNeverProducesNegativeRates) {
   // catch-up shows as a burst, never a negative.
   Publish(&stats, /*admitted=*/180, /*departed=*/170, /*busy=*/0.17,
           /*drained=*/0.17, /*queued=*/10, /*outstanding=*/10 * kCost);
-  PeriodMeasurement m3 = monitor.Sample(stats.Snapshot(3.0), 2.0);
+  PeriodMeasurement m3 = monitor.Sample({stats.Snapshot(3.0)}, 2.0);
   EXPECT_GE(m3.fin, 0.0);
   EXPECT_GE(m3.admitted, 0.0);
   EXPECT_GE(m3.fout, 0.0);
@@ -129,10 +129,10 @@ TEST(RtSharedStatsTest, SnapshotFieldsMonotonicUnderConcurrentWriters) {
 
 TEST(RtSharedStatsDeathTest, MonitorRejectsBackwardsTime) {
   RtSharedStats stats;
-  RtMonitor monitor(kCost, MonitorOptions());
+  RtMonitor monitor(kCost, 1, MonitorOptions());
   stats.offered.fetch_add(10, std::memory_order_relaxed);
-  monitor.Sample(stats.Snapshot(1.0), 2.0);
-  EXPECT_DEATH(monitor.Sample(stats.Snapshot(0.5), 2.0), "forward");
+  monitor.Sample({stats.Snapshot(1.0)}, 2.0);
+  EXPECT_DEATH(monitor.Sample({stats.Snapshot(0.5)}, 2.0), "forward");
 }
 
 }  // namespace

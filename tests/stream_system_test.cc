@@ -116,6 +116,27 @@ TEST(StreamSystemTest, SemanticActuatorDropsLowUtility) {
   EXPECT_NEAR(sum / n, 0.5, 0.15);
 }
 
+TEST(StreamSystemTest, QueueActuatorLabelsItsInNetworkPeriods) {
+  // Cutting the setpoint under 2x overload makes the controller drain
+  // queued work; every period that removed lineages from operator queues
+  // must say so instead of reading entry.
+  StreamSystem::Options opts;
+  opts.actuator = StreamSystem::Actuator::kQueue;
+  opts.target_delay = 4.0;
+  StreamSystem sys(opts);
+  sys.AddStream("s").Map(4.0);  // capacity ~242; offer ~2x
+  sys.SetWorkload(0, MakeConstantTrace(60.0, 480.0));
+  sys.ScheduleTargetDelay(30.0, 0.5);
+  sys.Run(60.0);
+  int queue_rows = 0;
+  for (const PeriodRecord& row : sys.recorder().rows()) {
+    if (row.queue_shed <= 0.0) continue;
+    ++queue_rows;
+    EXPECT_NE(row.site, ActuationSite::kEntry) << "period " << row.m.k;
+  }
+  EXPECT_GT(queue_rows, 0);
+}
+
 TEST(StreamSystemTest, AuroraPolicyRuns) {
   StreamSystem::Options opts;
   opts.policy = StreamSystem::Policy::kAurora;

@@ -366,11 +366,11 @@ Recorder MakeRecorder() {
   m.y_hat = 1.75;
   m.y_measured = 1.8;
   m.has_y_measured = true;
-  r.Record(m, 85.0, 0.2, 0.001);
+  r.Record(PeriodRecord{m, 85.0, 0.2, 0.001});
   m.k = 2;
   m.t = 2.0;
   m.has_y_measured = false;  // lull: y_meas should export as null/nan
-  r.Record(m, 90.0, 0.1);
+  r.Record(PeriodRecord{m, 90.0, 0.1});
   return r;
 }
 
