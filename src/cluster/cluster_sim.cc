@@ -13,10 +13,8 @@
 #include "metrics/qos_metrics.h"
 #include "rt/rt_stats.h"
 #include "runner/networks.h"
-#include "shedding/entry_shedder.h"
 #include "sim/simulation.h"
 #include "workload/arrival_source.h"
-#include "workload/traces.h"
 
 namespace ctrlshed {
 
@@ -28,7 +26,7 @@ namespace {
 struct SimShard {
   std::unique_ptr<QueryNetwork> net;
   std::unique_ptr<Engine> engine;
-  std::unique_ptr<EntryShedder> shedder;
+  std::unique_ptr<Shedder> shedder;
   std::unique_ptr<ArrivalSource> source;
   /// Victim RNG for in-network budgets, same seed stream as the rt
   /// workers' (seed + 6 + 7919g); null when the queue shedder is off.
@@ -67,6 +65,8 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
                "setpoint schedules are not supported in the cluster loop");
   CS_CHECK_MSG(base.estimation_noise == 0.0,
                "injected estimation noise is a single-process sim knob");
+  CS_CHECK_MSG(ExperimentConfigError(base).empty(),
+               "invalid config (validate with ExperimentConfigError first)");
 
   const int total_shards = config.nodes * config.workers_per_node;
   const double nominal_cost = base.headroom_true / base.capacity_rate;
@@ -81,18 +81,9 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
   // single-process sharded runtime's streams exactly.
   const RateTrace full_trace = BuildArrivalTrace(base);
 
-  // Fig. 14 time-varying cost: ONE shared trace (seed + 1, the sim and rt
-  // runtimes' stream) sampled by every engine — the cluster twin of a
-  // workload-wide cost drift.
-  RateTrace cost_trace;
-  CostMultiplierFn cost_multiplier;
-  if (base.vary_cost) {
-    cost_trace = MakeCostTrace(base.duration, base.cost_params, base.seed + 1);
-    const double cost_base = base.cost_params.base_ms;
-    cost_multiplier = [&cost_trace, cost_base](SimTime t) {
-      return cost_trace.At(t) / cost_base;
-    };
-  }
+  // Fig. 14 time-varying cost: ONE shared trace sampled by every engine —
+  // the cluster twin of a workload-wide cost drift.
+  const CostMultiplierFn cost_multiplier = CostMultiplierFor(base);
 
   std::vector<std::unique_ptr<SimNode>> nodes;
   nodes.reserve(static_cast<size_t>(config.nodes));
@@ -107,10 +98,9 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
       BuildIdentificationNetwork(shard.net.get(), nominal_cost);
       shard.engine =
           std::make_unique<Engine>(shard.net.get(), base.headroom_true);
-      if (cost_multiplier) shard.engine->SetCostMultiplier(cost_multiplier);
+      shard.engine->SetCostMultiplier(cost_multiplier);
       sim.AttachProcess(shard.engine.get());
-      shard.shedder = std::make_unique<EntryShedder>(
-          base.seed + 2 + 7919 * static_cast<uint64_t>(g));
+      shard.shedder = MakeEntryShedder(base, g);
       if (base.use_queue_shedder) {
         shard.shed_rng = std::make_unique<Rng>(
             base.seed + 6 + 7919 * static_cast<uint64_t>(g));

@@ -15,7 +15,6 @@
 #include "net/frame_server.h"
 #include "net/socket_util.h"
 #include "rt/rt_clock.h"
-#include "telemetry/flight_recorder.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/tracer.h"
 
@@ -30,10 +29,8 @@ ClusterControlLoopOptions ClusterLoopOptions(const ExperimentConfig& base,
   o.monitor.cost_ewma = base.cost_ewma;
   o.monitor.adapt_headroom = base.adapt_headroom;
   o.monitor.stale_periods = stale_periods;
-  o.ctrl.gains = base.gains;
-  o.ctrl.headroom = base.headroom_est;  // re-targeted from membership
-  o.ctrl.feedback = base.ctrl_feedback;
-  o.ctrl.anti_windup = base.anti_windup;
+  // The controller's headroom is re-targeted from membership.
+  o.ctrl = CtrlOptionsFor(base, base.headroom_est);
   o.queue_shed = base.use_queue_shedder;
   o.cost_aware = base.cost_aware_shedding;
   return o;
@@ -44,13 +41,11 @@ ClusterControllerResult RunClusterController(
   const ExperimentConfig& base = config.base;
   CS_CHECK_MSG(base.method == Method::kCtrl,
                "the cluster controller drives the CTRL method");
-  CS_CHECK_MSG(base.capacity_rate > 0.0, "capacity must be positive");
+  CS_CHECK_MSG(ExperimentConfigError(base).empty(),
+               "invalid config (validate with ExperimentConfigError first)");
   IgnoreSigPipe();
 
   std::unique_ptr<Telemetry> telemetry = Telemetry::Open(base.telemetry);
-  if (telemetry && !telemetry->dir().empty()) {
-    SetFlightDumpPath(telemetry->dir() + "/ctrlshed.flightdump.json");
-  }
 
   RtClock clock(config.time_compression);
 
@@ -82,11 +77,10 @@ ClusterControllerResult RunClusterController(
   std::mutex status_mu;
   std::string status_json;
   std::string fleet_json = "{\"nodes\":[]}";
-  std::string health_json = "{}";
-  int health_status = 200;
+  HealthReport health;
   // Requires loop_mu held (reads ctl); safe before the threads start too.
   const auto refresh_status = [&ctl, &clock, &base, &status_mu, &status_json,
-                               &fleet_json, &health_json, &health_status] {
+                               &fleet_json, &health] {
     const SimTime now = clock.Now();
     char buf[256];
     std::snprintf(buf, sizeof(buf),
@@ -146,16 +140,13 @@ ClusterControllerResult RunClusterController(
     std::snprintf(buf, sizeof(buf), "],\"period\":%g,\"target_delay\":%g}",
                   base.period, ctl.target_delay());
     fleet += buf;
-    // The /health pair is prebuilt under loop_mu for the same reason the
-    // status/fleet snapshots are: the server must never reach into ctl.
-    const HealthReport health = ctl.Health();
-    std::string hjson = health.ToJson();
-    const int hstatus = health.HttpStatus();
+    // The /health verdict is prebuilt under loop_mu for the same reason
+    // the status/fleet snapshots are: the server must never reach into ctl.
+    HealthReport verdict = ctl.Health();
     std::lock_guard<std::mutex> lock(status_mu);
     status_json = std::move(json);
     fleet_json = std::move(fleet);
-    health_json = std::move(hjson);
-    health_status = hstatus;
+    health = std::move(verdict);
   };
 
   ClusterControllerResult result;
@@ -249,19 +240,18 @@ ClusterControllerResult RunClusterController(
       std::lock_guard<std::mutex> lock(status_mu);
       return status_json;
     });
+    // Same leaf-mutex discipline as the status source: the server must
+    // never pull /fleet or /health through loop_mu (lock-order cycle with
+    // the record callback publishing into the server's own lock).
+    telemetry->SetHealthSource([&status_mu, &health] {
+      std::lock_guard<std::mutex> lock(status_mu);
+      return health;
+    });
     if (telemetry->server() != nullptr) {
-      // Same leaf-mutex discipline as the status source: the server must
-      // never pull /fleet through loop_mu (lock-order cycle with the
-      // record callback publishing into the server's own lock).
       telemetry->server()->SetFleetCallback([&status_mu, &fleet_json] {
         std::lock_guard<std::mutex> lock(status_mu);
         return fleet_json;
       });
-      telemetry->server()->SetHealthCallback(
-          [&status_mu, &health_json, &health_status] {
-            std::lock_guard<std::mutex> lock(status_mu);
-            return std::make_pair(health_status, health_json);
-          });
     }
   }
 

@@ -11,19 +11,15 @@
 #include "cluster/node_agent.h"
 #include "cluster/wire.h"
 #include "common/macros.h"
-#include "engine/query_network.h"
 #include "net/frame_client.h"
 #include "net/frame_server.h"
 #include "net/socket_util.h"
-#include "rt/cpu_affinity.h"
 #include "rt/rt_clock.h"
-#include "runner/networks.h"
-#include "shedding/entry_shedder.h"
+#include "rt/rt_loop.h"
+#include "rt/rt_runtime.h"
 #include "telemetry/fleet_metrics.h"
-#include "telemetry/flight_recorder.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/tracer.h"
-#include "workload/traces.h"
 
 namespace ctrlshed {
 
@@ -41,28 +37,28 @@ NodeAgentOptions NodeAgentOptionsFor(const ExperimentConfig& base,
 
 ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
   const ExperimentConfig& base = config.base;
-  CS_CHECK_MSG(base.capacity_rate > 0.0, "capacity must be positive");
-  CS_CHECK_MSG(config.workers >= 1 && config.workers <= 64,
-               "workers must be in [1, 64]");
+  CS_CHECK_MSG(ExperimentConfigError(base).empty(),
+               "invalid config (validate with ExperimentConfigError first)");
+  CS_CHECK_MSG(RtPlantError(config.workers, config.time_compression,
+                            config.ring_capacity, config.batch,
+                            config.pin_cpus)
+                   .empty(),
+               "invalid plant knobs (validate with RtPlantError first)");
   IgnoreSigPipe();  // a dying peer must never kill the node process
 
   const int workers = config.workers;
   const double nominal_cost = base.headroom_true / base.capacity_rate;
 
   std::unique_ptr<Telemetry> telemetry = Telemetry::Open(base.telemetry);
-  if (telemetry && !telemetry->dir().empty()) {
-    SetFlightDumpPath(telemetry->dir() + "/ctrlshed.flightdump.json");
-  }
   if (telemetry) {
     const uint32_t node_id = config.node_id;
-    const int n_workers = workers;
     const double period = base.period;
-    telemetry->SetStatusSource([node_id, n_workers, period] {
+    telemetry->SetStatusSource([node_id, workers, period] {
       char buf[160];
       std::snprintf(buf, sizeof(buf),
                     "{\"mode\":\"cluster\",\"cluster\":{\"role\":\"node\","
                     "\"node_id\":%u,\"workers\":%d,\"period\":%g}}",
-                    node_id, n_workers, period);
+                    node_id, workers, period);
       return std::string(buf);
     });
   }
@@ -70,52 +66,23 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
       telemetry ? telemetry->metrics()->GetCounter("net.ingress.rejected")
                 : nullptr;
 
+  // The plant: the sharded rt runtime's, with the shard index node-local
+  // (each node is its own plant; the cluster-wide view lives in the
+  // controller's aggregation).
   RtClock clock(config.time_compression);
+  RtEngineOptions eopts;
+  eopts.ring_capacity = config.ring_capacity;
+  eopts.cost_mode = config.cost_mode;
+  eopts.pacing_wall_seconds = config.pacing_wall_seconds;
+  eopts.batch = config.batch;
+  eopts.telemetry = telemetry.get();
+  const RtPlant plant =
+      BuildRtPlant(base, workers, config.pin_cpus, eopts, &clock);
+  const std::vector<std::unique_ptr<RtEngine>>& engines = plant.engines;
+  std::vector<Shedder*> shedders;
+  for (const RtShard& shard : plant.shards) shedders.push_back(shard.shedder);
 
-  // The plant: same construction as the sharded rt runtime, with the shard
-  // index node-local (each node is its own plant; the cluster-wide view
-  // lives in the controller's aggregation).
-  // Fig. 14 time-varying cost, sampled on each worker's clock; the trace
-  // lookup is read-only and the trace outlives the engines.
-  RateTrace cost_trace;
-  CostMultiplierFn cost_multiplier;
-  if (base.vary_cost) {
-    cost_trace = MakeCostTrace(base.duration, base.cost_params, base.seed + 1);
-    const double cost_base = base.cost_params.base_ms;
-    cost_multiplier = [&cost_trace, cost_base](SimTime t) {
-      return cost_trace.At(t) / cost_base;
-    };
-  }
-
-  std::vector<std::unique_ptr<QueryNetwork>> nets;
-  std::vector<std::unique_ptr<RtEngine>> engines;
-  std::vector<std::unique_ptr<EntryShedder>> shedders;
-  std::vector<Shedder*> shedder_ptrs;
-  std::string pin_error;
-  const PinPlan pin_plan = ParsePinCpus(config.pin_cpus, &pin_error);
-  for (int i = 0; i < workers; ++i) {
-    nets.push_back(std::make_unique<QueryNetwork>());
-    BuildIdentificationNetwork(nets.back().get(), nominal_cost);
-    RtEngineOptions eopts;
-    eopts.headroom = base.headroom_true;
-    eopts.ring_capacity = config.ring_capacity;
-    eopts.cost_mode = config.cost_mode;
-    eopts.pacing_wall_seconds = config.pacing_wall_seconds;
-    eopts.batch = config.batch;
-    eopts.cost_multiplier = cost_multiplier;
-    eopts.queue_shed_seed = base.seed + 6 + 7919 * static_cast<uint64_t>(i);
-    eopts.telemetry = telemetry.get();
-    eopts.shard_index = i;
-    eopts.per_shard_pump_metric = workers > 1;
-    eopts.pin_cpu = pin_plan.CpuForShard(i);
-    engines.push_back(std::make_unique<RtEngine>(
-        nets.back().get(), &clock, /*num_sources=*/1, eopts));
-    shedders.push_back(std::make_unique<EntryShedder>(
-        base.seed + 2 + 7919 * static_cast<uint64_t>(i)));
-    shedder_ptrs.push_back(shedders.back().get());
-  }
-
-  NodeAgent agent(nominal_cost, shedder_ptrs,
+  NodeAgent agent(nominal_cost, shedders,
                   NodeAgentOptionsFor(base, config.node_id));
 
   // One plant mutex serializes the three users of the shedders/agent:
@@ -134,15 +101,12 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
         engines[i]->stats()->PostPlan(plan, ++plan_seq);
       });
 
-  if (telemetry && telemetry->server() != nullptr) {
-    // HealthMonitor is internally locked, so the server thread may read a
-    // verdict without plant_mu. Lifetime: the explicit telemetry->Stop()
-    // below shuts the server down before `agent` leaves scope (failures
-    // abort, never unwind).
-    telemetry->server()->SetHealthCallback([&agent] {
-      const HealthReport r = agent.Health();
-      return std::make_pair(r.HttpStatus(), r.ToJson());
-    });
+  // HealthMonitor is internally locked, so the server thread may read a
+  // verdict without plant_mu. Lifetime: the explicit telemetry->Stop()
+  // below shuts the server down before `agent` leaves scope (failures
+  // abort, never unwind).
+  if (telemetry) {
+    telemetry->SetHealthSource([&agent] { return agent.Health(); });
   }
 
   ClusterNodeResult result;
@@ -152,7 +116,6 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
   sopts.port = config.ingress_port;
   sopts.bind_address = config.bind_address;
   FrameServer ingress(sopts);
-  std::vector<Tuple> admitted;  // serve-thread scratch
   ingress.OnFrame([&](uint64_t /*conn_id*/, const Frame& f) {
     TupleBatch batch;
     if (f.type != FrameType::kTupleBatch ||
@@ -163,25 +126,11 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
                                   clock.Now());
       return;
     }
-    const int shard = static_cast<int>(batch.source) % workers;
-    RtEngine* engine = engines[static_cast<size_t>(shard)].get();
-    admitted.clear();
-    {
-      std::lock_guard<std::mutex> lock(plant_mu);
-      for (Tuple t : batch.tuples) {
-        t.source = 0;  // each shard engine has a single local source
-        if (shedder_ptrs[static_cast<size_t>(shard)]->Admit(t)) {
-          admitted.push_back(t);
-        }
-      }
-    }
-    RtSharedStats* stats = engine->stats();
-    stats->offered.fetch_add(batch.tuples.size(), std::memory_order_relaxed);
-    stats->entry_shed.fetch_add(batch.tuples.size() - admitted.size(),
-                                std::memory_order_relaxed);
-    if (!admitted.empty()) {
-      engine->OfferBatch(admitted.data(), admitted.size());
-    }
+    // Route on the unsigned wire id: any u32 source maps to a shard. Each
+    // shard engine has a single local source.
+    const RtShard& shard = plant.shards[batch.source % plant.shards.size()];
+    AdmitToShard(shard.engine, shard.shedder, &plant_mu, /*local_source=*/0,
+                 batch.tuples.data(), batch.tuples.size());
   });
 
   // --- Control channel ----------------------------------------------------

@@ -48,7 +48,7 @@ struct ClusterNodeConfig {
 
   /// Worker core pinning, same syntax as the rt runtime's pin_cpus (see
   /// rt/cpu_affinity.h): "" / "0" off, "auto" round-robin, or a comma
-  /// list. Best-effort; validated by the CLI before the run.
+  /// list. Best-effort; validated by RtPlantError.
   std::string pin_cpus;
 
   /// Attach a compact metrics snapshot (counters/gauges/histogram
@@ -106,9 +106,11 @@ struct ClusterNodeResult {
 };
 
 /// Runs one cluster node for base.duration trace seconds: W sharded
-/// RtEngines fed by the TCP tuple ingress, a NodeAgent ticking every
-/// period (stats report upstream), and remote actuations applied to the
-/// entry shedders. Blocks until the run completes.
+/// RtEngines (BuildRtPlant) fed by the TCP tuple ingress through
+/// AdmitToShard, a NodeAgent ticking every period (stats report upstream),
+/// and remote actuations applied to the entry shedders. Blocks until the
+/// run completes. CS_CHECKs ExperimentConfigError(base) and RtPlantError
+/// on the plant knobs; CLIs validate with both first and exit 2.
 ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config);
 
 /// The agent options node `node_id` of a `base` run uses (socket runner

@@ -35,6 +35,36 @@ RtMonitorOptions ToMonitorOptions(const RtLoopOptions& options) {
 }
 }  // namespace
 
+void AdmitToShard(RtEngine* engine, Shedder* shedder, std::mutex* mu,
+                  int local_source, const Tuple* tuples, size_t n) {
+  RtSharedStats* stats = engine->stats();
+  stats->offered.fetch_add(n, std::memory_order_relaxed);
+  Tuple admitted[kRtArrivalBatchMax];
+  uint8_t admit_mask[kRtArrivalBatchMax];
+  for (size_t base = 0; base < n; base += kRtArrivalBatchMax) {
+    const size_t chunk_n = std::min(n - base, kRtArrivalBatchMax);
+    if (shedder != nullptr) {
+      // One batched decision under the mutex (coin-flip shedders draw
+      // their RNG stream and compare branch-free); the survivor
+      // compaction below runs outside the critical section.
+      std::lock_guard<std::mutex> lock(*mu);
+      shedder->AdmitBatch(tuples + base, chunk_n, admit_mask);
+    } else {
+      std::fill_n(admit_mask, chunk_n, uint8_t{1});
+    }
+    size_t m = 0;
+    for (size_t i = 0; i < chunk_n; ++i) {
+      admitted[m] = tuples[base + i];
+      admitted[m].source = local_source;
+      m += admit_mask[i] != 0;
+    }
+    if (m < chunk_n) {
+      stats->entry_shed.fetch_add(chunk_n - m, std::memory_order_relaxed);
+    }
+    engine->OfferBatch(admitted, m);
+  }
+}
+
 RtLoop::RtLoop(std::vector<RtShard> shards, const RtClock* clock,
                LoadController* controller, RtLoopOptions options)
     : shards_(CheckedShards(std::move(shards), controller)),
@@ -108,6 +138,10 @@ void RtLoop::OnArrival(const Tuple& t) { OnArrivalBatch(&t, 1); }
 
 void RtLoop::OnArrivalBatch(const Tuple* tuples, size_t n) {
   if (n == 0) return;
+  for (size_t i = 1; i < n; ++i) {
+    CS_CHECK_MSG(tuples[i].source == tuples[0].source,
+                 "a batch must come from a single source");
+  }
   // Hash partitioning: global source s lives on shard s % N as that
   // engine's local source s / N. The global->local remap keeps the
   // one-producer-per-ring SPSC contract intact (a batch comes from one
@@ -115,50 +149,9 @@ void RtLoop::OnArrivalBatch(const Tuple* tuples, size_t n) {
   const size_t shard_idx =
       static_cast<size_t>(tuples[0].source) % shards_.size();
   const RtShard& shard = shards_[shard_idx];
-  RtSharedStats* stats = shard.engine->stats();
-  stats->offered.fetch_add(n, std::memory_order_relaxed);
-  const int local_source =
-      tuples[0].source / static_cast<int>(shards_.size());
-
-  // Stage the admitted survivors (source remapped) and push them with one
-  // ring publish; chunked so callers may exceed kRtArrivalBatchMax.
-  Tuple admitted[kRtArrivalBatchMax];
-  uint8_t admit_mask[kRtArrivalBatchMax];
-  for (size_t base = 0; base < n;) {
-    const size_t chunk_end =
-        n - base < kRtArrivalBatchMax ? n : base + kRtArrivalBatchMax;
-    const size_t chunk_n = chunk_end - base;
-    for (size_t i = base; i < chunk_end; ++i) {
-      CS_CHECK_MSG(tuples[i].source == tuples[0].source,
-                   "a batch must come from a single source");
-    }
-    size_t m = 0;
-    uint64_t shed = 0;
-    if (shard.shedder != nullptr && controller_ != nullptr) {
-      {
-        // One batched decision under the mutex (coin-flip shedders draw
-        // their RNG stream and compare branch-free); the survivor
-        // compaction below runs outside the critical section.
-        std::lock_guard<std::mutex> lock(shedder_mutexes_[shard_idx]);
-        shard.shedder->AdmitBatch(tuples + base, chunk_n, admit_mask);
-      }
-      for (size_t i = 0; i < chunk_n; ++i) {
-        admitted[m] = tuples[base + i];
-        admitted[m].source = local_source;
-        m += admit_mask[i] != 0;
-      }
-      shed = chunk_n - m;
-    } else {
-      for (size_t i = 0; i < chunk_n; ++i) {
-        admitted[i] = tuples[base + i];
-        admitted[i].source = local_source;
-      }
-      m = chunk_n;
-    }
-    if (shed > 0) stats->entry_shed.fetch_add(shed, std::memory_order_relaxed);
-    shard.engine->OfferBatch(admitted, m);  // a full ring counts its drops
-    base = chunk_end;
-  }
+  AdmitToShard(shard.engine, controller_ != nullptr ? shard.shedder : nullptr,
+               &shedder_mutexes_[shard_idx], tuples[0].source / num_shards(),
+               tuples, n);
 }
 
 void RtLoop::SetTargetDelay(double yd) {

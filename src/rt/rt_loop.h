@@ -29,6 +29,17 @@ struct RtShard {
   Shedder* shedder = nullptr;
 };
 
+/// The one shard-admission path, shared by RtLoop's replay sources and the
+/// cluster node's tuple ingress. Counts `n` tuples offered to `engine`,
+/// then per chunk of up to kRtArrivalBatchMax takes one AdmitBatch
+/// decision under `mu` (a null `shedder` admits everything), renumbers
+/// the survivors to the engine's `local_source` and pushes them with one
+/// OfferBatch (a full ring counts its drops). `mu` serializes the shedder
+/// against the thread that applies plans to it; the ring keeps
+/// OfferBatch's contract of one producer thread per local source.
+void AdmitToShard(RtEngine* engine, Shedder* shedder, std::mutex* mu,
+                  int local_source, const Tuple* tuples, size_t n);
+
 /// Options of the real-time control loop; the subset of
 /// FeedbackLoopOptions that survives contact with a real clock.
 struct RtLoopOptions {
@@ -73,11 +84,10 @@ struct RtLoopOptions {
 /// single-shard loop is bit-identical to the pre-sharding runtime.
 ///
 /// Threading model:
-///  - OnArrival runs on the source threads: it counts the offer against
-///    the owning shard, asks that shard's shedder for admission (under a
-///    per-shard mutex — the shedders are reused unchanged from the sim
-///    and are not thread-safe by themselves), and pushes survivors into
-///    the shard engine's lock-free ingress ring.
+///  - OnArrival runs on the source threads: it routes the batch to its
+///    shard and admits it through AdmitToShard under that shard's mutex
+///    (the shedders are reused unchanged from the sim and are not
+///    thread-safe by themselves).
 ///  - The controller thread wakes at every period boundary, snapshots all
 ///    shards' shared atomics at one clock read (the aggregation barrier),
 ///    and runs the rest of the period through PeriodPipeline with one
@@ -122,9 +132,8 @@ class RtLoop {
   void OnArrival(const Tuple& t);
 
   /// Batched ingress: `n` tuples from ONE source (all t.source equal), in
-  /// arrival order. Takes the shard's shedder mutex once and pushes the
-  /// admitted survivors into the engine ring with one batched publish.
-  /// At n == 1 this is exactly OnArrival.
+  /// arrival order, admitted through AdmitToShard. At n == 1 this is
+  /// exactly OnArrival.
   void OnArrivalBatch(const Tuple* tuples, size_t n);
 
   /// Changes the delay setpoint at runtime (any thread).

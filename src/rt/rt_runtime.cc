@@ -4,34 +4,38 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/macros.h"
-#include "control/aurora_controller.h"
-#include "rt/cpu_affinity.h"
-#include "control/baseline_controller.h"
-#include "control/ctrl_controller.h"
-#include "control/pi_controller.h"
 #include "engine/query_network.h"
+#include "rt/cpu_affinity.h"
 #include "rt/rt_clock.h"
 #include "rt/rt_loop.h"
 #include "rt/rt_source.h"
 #include "runner/networks.h"
-#include "shedding/aurora_shedder.h"
-#include "shedding/entry_shedder.h"
-#include "workload/traces.h"
 
 namespace ctrlshed {
 
+std::string RtPlantError(int workers, double time_compression,
+                         size_t ring_capacity, size_t batch,
+                         const std::string& pin_cpus) {
+  if (workers < 1 || workers > 64) return "workers must be in [1, 64]";
+  if (!(time_compression > 0.0)) {
+    return "compress (time compression) must be positive";
+  }
+  if (ring_capacity == 0) return "ring (capacity) must be positive";
+  if (batch < 1 || batch > 4096) return "batch must be in [1, 4096]";
+  std::string pin_error;
+  ParsePinCpus(pin_cpus, &pin_error);
+  return pin_error;
+}
+
 std::string RtConfigError(const RtRunConfig& config) {
   const ExperimentConfig& base = config.base;
-  if (base.capacity_rate <= 0.0) {
-    return "capacity must be positive";
-  }
+  const std::string base_error = ExperimentConfigError(base);
+  if (!base_error.empty()) return base_error;
   if (base.estimation_noise != 0.0) {
     return "the rt runtime does not inject estimation noise (noise is a "
            "sim-only knob; real measurement noise comes free) — drop "
@@ -42,22 +46,34 @@ std::string RtConfigError(const RtRunConfig& config) {
            "ActuationPlans, which the Aurora quota shedder does not "
            "consume — use method=ctrl, baseline, or pi with queue_shed=1";
   }
-  if (config.workers < 1 || config.workers > 64) {
-    return "workers must be in [1, 64]";
-  }
-  if (config.time_compression <= 0.0) {
-    return "time compression must be positive";
-  }
-  if (config.ring_capacity == 0) {
-    return "ring capacity must be positive";
-  }
-  if (config.batch < 1 || config.batch > 4096) {
-    return "batch must be in [1, 4096]";
-  }
+  return RtPlantError(config.workers, config.time_compression,
+                      config.ring_capacity, config.batch, config.pin_cpus);
+}
+
+RtPlant BuildRtPlant(const ExperimentConfig& base, int workers,
+                     const std::string& pin_cpus, RtEngineOptions engine,
+                     const RtClock* clock) {
+  const double nominal_cost = base.headroom_true / base.capacity_rate;
   std::string pin_error;
-  ParsePinCpus(config.pin_cpus, &pin_error);
-  if (!pin_error.empty()) return pin_error;
-  return "";
+  const PinPlan pin_plan = ParsePinCpus(pin_cpus, &pin_error);
+  engine.headroom = base.headroom_true;
+  engine.per_shard_pump_metric = workers > 1;
+  // One shared cost trace, sampled by each worker on its own clock.
+  engine.cost_multiplier = CostMultiplierFor(base);
+  RtPlant plant;
+  for (int i = 0; i < workers; ++i) {
+    plant.nets.push_back(std::make_unique<QueryNetwork>());
+    BuildIdentificationNetwork(plant.nets.back().get(), nominal_cost);
+    engine.shard_index = i;
+    engine.pin_cpu = pin_plan.CpuForShard(i);
+    engine.queue_shed_seed = base.seed + 6 + 7919 * static_cast<uint64_t>(i);
+    plant.engines.push_back(std::make_unique<RtEngine>(
+        plant.nets.back().get(), clock, /*num_sources=*/1, engine));
+    plant.shedders.push_back(MakeEntryShedder(base, i));
+    plant.shards.push_back(
+        RtShard{plant.engines.back().get(), plant.shedders.back().get()});
+  }
+  return plant;
 }
 
 RtRunResult RunRtExperiment(const RtRunConfig& config) {
@@ -66,128 +82,42 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
                "unsupported rt config (validate with RtConfigError first)");
   const int workers = config.workers;
 
-  const double nominal_cost = base.headroom_true / base.capacity_rate;
-
   // The telemetry session outlives every thread that traces into it
   // (engine worker, controller, sources, this thread).
   std::unique_ptr<Telemetry> telemetry = Telemetry::Open(base.telemetry);
   TraceBuffer* main_buf =
       telemetry ? telemetry->RegisterThread("main") : nullptr;
-  if (telemetry && !telemetry->dir().empty()) {
-    // Post-mortem dumps land next to the run's other telemetry files.
-    SetFlightDumpPath(telemetry->dir() + "/ctrlshed.flightdump.json");
-  }
   if (telemetry) {
     // Everything the status lambda captures is immutable for the run, so
     // the server thread can render it without synchronization.
     const double duration = base.duration;
     const double period = base.period;
     const double compression = config.time_compression;
-    const int n_workers = config.workers;
-    telemetry->SetStatusSource([duration, period, compression, n_workers] {
+    telemetry->SetStatusSource([duration, period, compression, workers] {
       char buf[128];
       std::snprintf(buf, sizeof(buf),
                     "{\"mode\":\"rt\",\"workers\":%d,\"duration\":%g,"
                     "\"period\":%g,\"compression\":%g}",
-                    n_workers, duration, period, compression);
+                    workers, duration, period, compression);
       return std::string(buf);
     });
   }
-  std::optional<ScopedSpan> phase;
-  phase.emplace(main_buf, "setup");
+  ScopedSpan phase(main_buf, "setup");
 
   RtClock clock(config.time_compression);
-
-  // Fig. 14 time-varying cost, ported to rt: one shared trace (same seed
-  // stream as the sim wiring), sampled by each worker on its own clock as
-  // the engine executes. RateTrace::At is read-only after construction, so
-  // sharing one instance across worker threads is safe. Declared before
-  // the engines so it outlives them.
-  RateTrace cost_trace;
-  CostMultiplierFn cost_multiplier;
-  if (base.vary_cost) {
-    cost_trace = MakeCostTrace(base.duration, base.cost_params,
-                               base.seed + 1);
-    const double cost_base = base.cost_params.base_ms;
-    cost_multiplier = [&cost_trace, cost_base](SimTime t) {
-      return cost_trace.At(t) / cost_base;
-    };
-  }
-
-  // The partitioned plant: one network/engine pair per shard, each with
-  // one local source (global source i is shard i's local source 0).
-  std::vector<std::unique_ptr<QueryNetwork>> nets;
-  std::vector<std::unique_ptr<RtEngine>> engines;
-  nets.reserve(static_cast<size_t>(workers));
-  engines.reserve(static_cast<size_t>(workers));
-  std::string pin_error;
-  const PinPlan pin_plan = ParsePinCpus(config.pin_cpus, &pin_error);
-  for (int i = 0; i < workers; ++i) {
-    nets.push_back(std::make_unique<QueryNetwork>());
-    BuildIdentificationNetwork(nets.back().get(), nominal_cost);
-    RtEngineOptions eopts;
-    eopts.headroom = base.headroom_true;
-    eopts.ring_capacity = config.ring_capacity;
-    eopts.cost_mode = config.cost_mode;
-    eopts.pacing_wall_seconds = config.pacing_wall_seconds;
-    eopts.batch = config.batch;
-    eopts.telemetry = telemetry.get();
-    eopts.shard_index = i;
-    eopts.per_shard_pump_metric = workers > 1;
-    eopts.cost_multiplier = cost_multiplier;
-    eopts.pin_cpu = pin_plan.CpuForShard(i);
-    // A distinct seed stream from the entry shedders' (seed+2+7919i): the
-    // worker's victim RNG must never share state across threads.
-    eopts.queue_shed_seed = base.seed + 6 + 7919 * static_cast<uint64_t>(i);
-    engines.push_back(std::make_unique<RtEngine>(
-        nets.back().get(), &clock, /*num_sources=*/1, eopts));
-  }
+  RtEngineOptions eopts;
+  eopts.ring_capacity = config.ring_capacity;
+  eopts.cost_mode = config.cost_mode;
+  eopts.pacing_wall_seconds = config.pacing_wall_seconds;
+  eopts.batch = config.batch;
+  eopts.telemetry = telemetry.get();
+  const RtPlant plant =
+      BuildRtPlant(base, workers, config.pin_cpus, eopts, &clock);
 
   // One controller drives the aggregate plant; its headroom belief is the
   // aggregate's effective headroom N*H (what the monitor reports against).
-  const double headroom_agg = static_cast<double>(workers) * base.headroom_est;
-  std::unique_ptr<LoadController> controller;
-  switch (base.method) {
-    case Method::kNone:
-      break;
-    case Method::kCtrl: {
-      CtrlOptions opts;
-      opts.gains = base.gains;
-      opts.headroom = headroom_agg;
-      opts.feedback = base.ctrl_feedback;
-      opts.anti_windup = base.anti_windup;
-      controller = std::make_unique<CtrlController>(opts);
-      break;
-    }
-    case Method::kBaseline:
-      controller = std::make_unique<BaselineController>(headroom_agg);
-      break;
-    case Method::kAurora:
-      controller = std::make_unique<AuroraController>(headroom_agg);
-      break;
-    case Method::kPi:
-      controller = std::make_unique<PiController>(headroom_agg);
-      break;
-  }
-
-  // Per-shard entry shedders (decorrelated streams; i = 0 reproduces the
-  // historical single-shedder seed).
-  std::vector<std::unique_ptr<Shedder>> shedders;
-  std::vector<RtShard> shards;
-  for (int i = 0; i < workers; ++i) {
-    RtShard shard;
-    shard.engine = engines[static_cast<size_t>(i)].get();
-    if (controller != nullptr) {
-      if (base.method == Method::kAurora) {
-        shedders.push_back(std::make_unique<AuroraQuotaShedder>());
-      } else {
-        shedders.push_back(
-            std::make_unique<EntryShedder>(base.seed + 2 + 7919 * i));
-      }
-      shard.shedder = shedders.back().get();
-    }
-    shards.push_back(shard);
-  }
+  std::unique_ptr<LoadController> controller =
+      MakeController(base, static_cast<double>(workers) * base.headroom_est);
 
   RtLoopOptions lopts;
   lopts.period = base.period;
@@ -199,15 +129,10 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
   lopts.cost_aware_shed = base.cost_aware_shedding;
   lopts.adaptive_quantum = config.batch_adaptive;
   lopts.telemetry = telemetry.get();
-  RtLoop loop(std::move(shards), &clock, controller.get(), lopts);
-  if (telemetry && telemetry->server() != nullptr) {
-    // Lifetime: the explicit telemetry->Stop() below shuts the server
-    // down before `loop` leaves scope (failures abort, never unwind).
-    telemetry->server()->SetHealthCallback([&loop] {
-      const HealthReport r = loop.Health();
-      return std::make_pair(r.HttpStatus(), r.ToJson());
-    });
-  }
+  RtLoop loop(plant.shards, &clock, controller.get(), lopts);
+  // Lifetime: the explicit telemetry->Stop() below shuts the server down
+  // before `loop` leaves scope (failures abort, never unwind).
+  if (telemetry) telemetry->SetHealthSource([&loop] { return loop.Health(); });
   if (base.departure_observer) {
     loop.SetDepartureObserver(base.departure_observer);
   }
@@ -235,11 +160,6 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
   // Setpoint schedule, applied by the main thread between waits.
   std::vector<std::pair<SimTime, double>> schedule = base.setpoint_schedule;
   std::sort(schedule.begin(), schedule.end());
-  for (const auto& [when, yd] : schedule) {
-    CS_CHECK_MSG(when >= 0.0 && when <= base.duration,
-                 "setpoint change outside the run");
-    CS_CHECK_MSG(yd > 0.0, "target delay must be positive");
-  }
 
   const auto wall_start = std::chrono::steady_clock::now();
   clock.Start();
@@ -250,7 +170,7 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
     });
   }
 
-  phase.emplace(main_buf, "replay");
+  phase.Next("replay");
   const auto stopping = [&config] { return StopRequested(config.stop); };
   for (const auto& [when, yd] : schedule) {
     SleepUntilWall(clock.WallDeadline(when), stopping);
@@ -261,23 +181,23 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
 
   // Teardown order: sources first (no new arrivals), then the loop (which
   // stops the controller thread, then the engine workers).
-  phase.emplace(main_buf, "teardown");
+  phase.Next("teardown");
   for (auto& source : sources) source->Stop();
   loop.Stop();
   const auto wall_end = std::chrono::steady_clock::now();
-  phase.reset();
+  phase.Next(nullptr);
 
   RtRunResult result;
   result.summary = loop.Summary();
   result.recorder = loop.recorder();
   result.arrival_trace = full_trace;
-  result.nominal_cost = nominal_cost;
+  result.nominal_cost = base.headroom_true / base.capacity_rate;
   result.ring_dropped = loop.ring_dropped();
   result.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
   result.workers = workers;
-  for (size_t i = 0; i < engines.size(); ++i) {
-    const RtSharedStats* stats = engines[i]->stats();
+  for (size_t i = 0; i < plant.engines.size(); ++i) {
+    const RtSharedStats* stats = plant.engines[i]->stats();
     RtShardSummary shard;
     shard.offered = stats->offered.load(std::memory_order_relaxed);
     shard.entry_shed = stats->entry_shed.load(std::memory_order_relaxed);
@@ -287,9 +207,9 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
         stats->queue_shed_load.load(std::memory_order_relaxed);
     shard.departed = stats->departed.load(std::memory_order_relaxed);
     shard.h_hat = loop.monitor().shard_h_hat()[i];
-    shard.pump_intervals = engines[i]->pump_intervals();
+    shard.pump_intervals = plant.engines[i]->pump_intervals();
     result.shards.push_back(std::move(shard));
-    result.pump_intervals.Merge(engines[i]->pump_intervals());
+    result.pump_intervals.Merge(plant.engines[i]->pump_intervals());
   }
   result.actuation_lateness = loop.actuation_lateness();
   result.health = loop.Health();

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "metrics/qos_metrics.h"
 #include "metrics/recorder.h"
 #include "rt/rt_engine.h"
+#include "rt/rt_loop.h"
 #include "runner/experiment.h"
 #include "telemetry/health.h"
 #include "workload/rate_trace.h"
@@ -125,12 +127,41 @@ struct RtRunResult {
   bool interrupted = false;  ///< True when config.stop ended the run early.
 };
 
-/// Validates `config` against what the rt runtime supports. Returns an
+/// Validates the rt-plant knobs `ctrlshed rt` and `ctrlshed node` share:
+/// workers in [1, 64], compress and ring positive, batch in [1, 4096], and
+/// a well-formed pin_cpus. Returns an empty string when valid, else a
+/// message naming the offending knob.
+std::string RtPlantError(int workers, double time_compression,
+                         size_t ring_capacity, size_t batch,
+                         const std::string& pin_cpus);
+
+/// Validates `config` against what the rt runtime supports
+/// (ExperimentConfigError, the rt-only limits, RtPlantError). Returns an
 /// empty string when runnable, else an actionable message naming the
 /// offending knob. CLIs should call this and exit(2) on a non-empty result;
 /// RunRtExperiment CS_CHECKs it (passing an unvalidated config is a
 /// programming error).
 std::string RtConfigError(const RtRunConfig& config);
+
+/// The sharded plant `ctrlshed rt` and `ctrlshed node` run: shard i owns a
+/// query network, an RtEngine with one local source, and the entry shedder
+/// MakeEntryShedder(base, i).
+struct RtPlant {
+  std::vector<std::unique_ptr<QueryNetwork>> nets;
+  std::vector<std::unique_ptr<RtEngine>> engines;
+  std::vector<std::unique_ptr<Shedder>> shedders;
+  std::vector<RtShard> shards;  ///< Non-owning views, in shard order.
+};
+
+/// Builds `workers` shards on `clock`. `engine` carries the run-wide
+/// options (ring, cost mode, pacing, batch, telemetry); the builder sets
+/// headroom H_true and the Fig. 14 cost multiplier, and per shard i the
+/// index, the per-shard pump metric (when sharded), the CPU `pin_cpus`
+/// assigns, and the victim seed seed + 6 + 7919 i (a stream distinct from
+/// the entry shedders', so no RNG is shared across threads).
+RtPlant BuildRtPlant(const ExperimentConfig& base, int workers,
+                     const std::string& pin_cpus, RtEngineOptions engine,
+                     const RtClock* clock);
 
 /// Builds the standard plant (identification network + RtEngine + replay
 /// source + chosen controller/shedder), races it against the wall clock

@@ -1,7 +1,6 @@
 #include "rt/rt_source.h"
 
 #include <chrono>
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -9,12 +8,6 @@
 #include "telemetry/telemetry.h"
 
 namespace ctrlshed {
-
-namespace {
-// Rates below this are treated as "no arrivals in this slot" (same
-// threshold as the sim-side ArrivalSource).
-constexpr double kMinRate = 1e-9;
-}  // namespace
 
 RtArrivalSource::RtArrivalSource(int source_index, RateTrace trace,
                                  ArrivalSource::Spacing spacing, uint64_t seed)
@@ -48,39 +41,13 @@ void RtArrivalSource::Stop() {
   if (thread_.joinable()) thread_.join();
 }
 
-// Same walk as ArrivalSource::NextArrival: slot-by-slot with re-evaluation
-// at boundaries so rate changes take effect promptly.
-SimTime RtArrivalSource::NextArrival(SimTime t) {
-  const SimTime end = trace_.Duration();
-  SimTime now = t;
-  while (now < end) {
-    const double rate = trace_.At(now);
-    const SimTime width = trace_.slot_width();
-    if (rate < kMinRate) {
-      now = (std::floor(now / width) + 1.0) * width;
-      continue;
-    }
-    const double gap = (spacing_ == ArrivalSource::Spacing::kDeterministic)
-                           ? 1.0 / rate
-                           : rng_.Exponential(rate);
-    const SimTime candidate = now + gap;
-    const SimTime boundary = (std::floor(now / width) + 1.0) * width;
-    if (candidate > boundary && trace_.At(boundary) != rate) {
-      now = boundary;
-      continue;
-    }
-    return candidate;
-  }
-  return end + 1.0;  // exhausted
-}
-
 void RtArrivalSource::Run() {
   using Clock = std::chrono::steady_clock;
   if (telemetry_ != nullptr) {
     trace_buf_ = telemetry_->RegisterThread("rt.source" +
                                             std::to_string(source_index_));
   }
-  SimTime t = NextArrival(0.0);
+  SimTime t = ArrivalSource::NextArrival(trace_, spacing_, rng_, 0.0);
   const SimTime end = trace_.Duration();
   const auto stopping = [this] {
     return stop_.load(std::memory_order_acquire);
@@ -108,7 +75,7 @@ void RtArrivalSource::Run() {
       tup.value = rng_.Uniform();
       tup.aux = rng_.Uniform();
       ++n;
-      t = NextArrival(t);
+      t = ArrivalSource::NextArrival(trace_, spacing_, rng_, t);
       if (n == kRtArrivalBatchMax || t > end) break;
       if (Clock::now() < clock_->WallDeadline(t)) break;
     }

@@ -73,7 +73,6 @@ class RtArrivalSource {
   const RateTrace& trace() const { return trace_; }
 
  private:
-  SimTime NextArrival(SimTime t);
   void Run();
 
   int source_index_;

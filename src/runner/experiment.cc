@@ -2,7 +2,7 @@
 
 #include <cstdio>
 #include <memory>
-#include <optional>
+#include <string>
 
 #include "common/macros.h"
 #include "control/aurora_controller.h"
@@ -43,20 +43,78 @@ RateTrace BuildArrivalTrace(const ExperimentConfig& config) {
   return RateTrace();
 }
 
+std::string ExperimentConfigError(const ExperimentConfig& config) {
+  // Written as !(x > 0) so that NaN fails too.
+  const auto fraction = [](double x) { return x > 0.0 && x <= 1.0; };
+  if (!(config.duration > 0.0)) return "duration must be positive";
+  if (!(config.period > 0.0)) return "T (control period) must be positive";
+  if (!(config.target_delay > 0.0)) return "yd (target delay) must be positive";
+  if (!(config.capacity_rate > 0.0)) return "capacity must be positive";
+  if (!fraction(config.headroom_est)) return "H (headroom) must be in (0, 1]";
+  if (!fraction(config.headroom_true)) return "H_true must be in (0, 1]";
+  if (!fraction(config.cost_ewma)) return "cost_ewma must be in (0, 1]";
+  if (!(config.estimation_noise >= 0.0)) return "noise must be non-negative";
+  for (const auto& [when, yd] : config.setpoint_schedule) {
+    if (!(when >= 0.0 && when <= config.duration && yd > 0.0)) {
+      return "setpoint changes must lie inside the run, with yd > 0";
+    }
+  }
+  return "";
+}
+
+CtrlOptions CtrlOptionsFor(const ExperimentConfig& config, double headroom) {
+  CtrlOptions opts;
+  opts.gains = config.gains;
+  opts.headroom = headroom;
+  opts.feedback = config.ctrl_feedback;
+  opts.anti_windup = config.anti_windup;
+  return opts;
+}
+
+std::unique_ptr<LoadController> MakeController(const ExperimentConfig& config,
+                                               double headroom) {
+  switch (config.method) {
+    case Method::kNone:
+      return nullptr;
+    case Method::kCtrl:
+      return std::make_unique<CtrlController>(CtrlOptionsFor(config, headroom));
+    case Method::kBaseline:
+      return std::make_unique<BaselineController>(headroom);
+    case Method::kAurora:
+      return std::make_unique<AuroraController>(headroom);
+    case Method::kPi:
+      return std::make_unique<PiController>(headroom);
+  }
+  return nullptr;
+}
+
+std::unique_ptr<Shedder> MakeEntryShedder(const ExperimentConfig& config,
+                                          int shard) {
+  if (config.method == Method::kAurora) {
+    return std::make_unique<AuroraQuotaShedder>();
+  }
+  return std::make_unique<EntryShedder>(
+      config.seed + 2 + 7919 * static_cast<uint64_t>(shard));
+}
+
+CostMultiplierFn CostMultiplierFor(const ExperimentConfig& config) {
+  if (!config.vary_cost) return nullptr;
+  const auto trace = std::make_shared<const RateTrace>(
+      MakeCostTrace(config.duration, config.cost_params, config.seed + 1));
+  const double base = config.cost_params.base_ms;
+  return [trace, base](SimTime t) { return trace->At(t) / base; };
+}
+
 ExperimentResult RunExperiment(const ExperimentConfig& config) {
-  CS_CHECK_MSG(config.capacity_rate > 0.0, "capacity must be positive");
+  CS_CHECK_MSG(ExperimentConfigError(config).empty(),
+               "invalid config (validate with ExperimentConfigError first)");
 
   // The sim is single-threaded, so the whole run traces onto one track:
   // phase spans (build/run/summarize) plus the timeline export at the end.
   std::unique_ptr<Telemetry> telemetry = Telemetry::Open(config.telemetry);
   TraceBuffer* trace_buf =
       telemetry ? telemetry->RegisterThread("sim.main") : nullptr;
-  if (telemetry && !telemetry->dir().empty()) {
-    // Post-mortem dumps land next to the run's other telemetry files.
-    SetFlightDumpPath(telemetry->dir() + "/ctrlshed.flightdump.json");
-  }
-  std::optional<ScopedSpan> phase;
-  phase.emplace(trace_buf, "build_plant");
+  ScopedSpan phase(trace_buf, "build_plant");
 
   // The model constant c: at nominal cost the engine sustains exactly
   // `capacity_rate` tuples/s, i.e. c = H_true / capacity.
@@ -67,6 +125,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   BuildIdentificationNetwork(&net, nominal_cost);
   Engine engine(&net, config.headroom_true,
                 MakeScheduler(config.scheduler, config.seed + 5));
+  engine.SetCostMultiplier(CostMultiplierFor(config));
   sim.AttachProcess(&engine);
 
   // Operator-granular instrumentation: op:<name> spans on the sim track,
@@ -87,51 +146,16 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     });
   }
 
-  RateTrace cost_trace;
-  if (config.vary_cost) {
-    cost_trace = MakeCostTrace(config.duration, config.cost_params,
-                               config.seed + 1);
-    const double base = config.cost_params.base_ms;
-    engine.SetCostMultiplier(
-        [&cost_trace, base](SimTime t) { return cost_trace.At(t) / base; });
-  }
-
-  std::unique_ptr<LoadController> controller;
-  switch (config.method) {
-    case Method::kNone:
-      break;
-    case Method::kCtrl: {
-      CtrlOptions opts;
-      opts.gains = config.gains;
-      opts.headroom = config.headroom_est;
-      opts.feedback = config.ctrl_feedback;
-      opts.anti_windup = config.anti_windup;
-      controller = std::make_unique<CtrlController>(opts);
-      break;
-    }
-    case Method::kBaseline:
-      controller = std::make_unique<BaselineController>(config.headroom_est);
-      break;
-    case Method::kAurora:
-      controller = std::make_unique<AuroraController>(config.headroom_est);
-      break;
-    case Method::kPi:
-      controller = std::make_unique<PiController>(config.headroom_est);
-      break;
-  }
-
+  std::unique_ptr<LoadController> controller =
+      MakeController(config, config.headroom_est);
+  const bool in_network =
+      config.use_queue_shedder && config.method != Method::kAurora;
   std::unique_ptr<Shedder> shedder;
-  if (controller != nullptr) {
-    if (config.method == Method::kAurora) {
-      // Aurora sheds an absolute load amount via drop boxes (Eq. 7/8), not
-      // a drop fraction; the quota shedder realizes those semantics.
-      shedder = std::make_unique<AuroraQuotaShedder>();
-    } else if (config.use_queue_shedder) {
-      shedder = std::make_unique<QueueShedder>(&engine, config.seed + 2,
-                                               config.cost_aware_shedding);
-    } else {
-      shedder = std::make_unique<EntryShedder>(config.seed + 2);
-    }
+  if (controller != nullptr && in_network) {
+    shedder = std::make_unique<QueueShedder>(&engine, config.seed + 2,
+                                             config.cost_aware_shedding);
+  } else if (controller != nullptr) {
+    shedder = MakeEntryShedder(config, 0);
   }
 
   FeedbackLoopOptions loop_opts;
@@ -142,19 +166,13 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   loop_opts.estimation_noise = config.estimation_noise;
   loop_opts.noise_seed = config.seed + 4;
   loop_opts.adapt_headroom = config.adapt_headroom;
-  loop_opts.allow_in_network_shed =
-      config.use_queue_shedder && config.method != Method::kAurora;
+  loop_opts.allow_in_network_shed = in_network;
   loop_opts.cost_aware_shed = config.cost_aware_shedding;
   loop_opts.telemetry = telemetry.get();
   FeedbackLoop loop(&sim, &engine, controller.get(), shedder.get(), loop_opts);
-  if (telemetry && telemetry->server() != nullptr) {
-    // Lifetime: the explicit telemetry->Stop() below shuts the server
-    // down before `loop` leaves scope (failures abort, never unwind).
-    telemetry->server()->SetHealthCallback([&loop] {
-      const HealthReport r = loop.Health();
-      return std::make_pair(r.HttpStatus(), r.ToJson());
-    });
-  }
+  // Lifetime: the explicit telemetry->Stop() below shuts the server down
+  // before `loop` leaves scope (failures abort, never unwind).
+  if (telemetry) telemetry->SetHealthSource([&loop] { return loop.Health(); });
   if (config.departure_observer) {
     loop.SetDepartureObserver(config.departure_observer);
   }
@@ -166,8 +184,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   loop.Start();
 
   for (const auto& [when, yd] : config.setpoint_schedule) {
-    CS_CHECK_MSG(when >= 0.0 && when <= config.duration,
-                 "setpoint change outside the run");
     sim.Schedule(when, [&loop, yd = yd]() { loop.SetTargetDelay(yd); });
   }
 
@@ -175,9 +191,9 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
                        config.seed + 3);
   source.Start(&sim, [&loop](const Tuple& t) { loop.OnArrival(t); });
 
-  phase.emplace(trace_buf, "simulate");
+  phase.Next("simulate");
   sim.Run(config.duration);
-  phase.emplace(trace_buf, "summarize");
+  phase.Next("summarize");
 
   ExperimentResult result;
   result.summary = loop.Summary();
@@ -185,7 +201,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   result.arrival_trace = source.trace();
   result.nominal_cost = nominal_cost;
   result.health = loop.Health();
-  phase.reset();
+  phase.Next(nullptr);
 
   if (telemetry) {
     MetricsRegistry* reg = telemetry->metrics();

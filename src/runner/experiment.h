@@ -2,6 +2,8 @@
 #define CTRLSHED_RUNNER_EXPERIMENT_H_
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "engine/engine.h"
 #include "metrics/qos_metrics.h"
 #include "metrics/recorder.h"
+#include "shedding/shedder.h"
 #include "telemetry/health.h"
 #include "telemetry/telemetry.h"
 #include "workload/arrival_source.h"
@@ -107,6 +110,13 @@ struct ExperimentResult {
   HealthReport health;      ///< Health verdict at the end of the run.
 };
 
+/// Validates the knobs every runner shares: duration, T, yd and capacity
+/// positive; H, H_true and cost_ewma in (0, 1]; noise non-negative; every
+/// setpoint change inside the run with yd > 0. Returns an empty string
+/// when runnable, else a message naming the offending knob. CLIs exit 2
+/// on a non-empty result; the runners CS_CHECK it.
+std::string ExperimentConfigError(const ExperimentConfig& config);
+
 /// Builds the standard plant (identification network + engine + workload +
 /// chosen controller/shedder), runs it for `config.duration` simulated
 /// seconds, and returns the metrics.
@@ -115,6 +125,27 @@ ExperimentResult RunExperiment(const ExperimentConfig& config);
 /// The arrival-rate trace `config` describes (used by RunExperiment, and
 /// exposed for the Fig. 13 trace plots).
 RateTrace BuildArrivalTrace(const ExperimentConfig& config);
+
+// --- The run recipe every runner (sim, rt, cluster) assembles from --------
+
+/// The CTRL controller options of `config`, believing headroom `headroom`.
+CtrlOptions CtrlOptionsFor(const ExperimentConfig& config, double headroom);
+
+/// The controller `config.method` names, believing headroom `headroom`
+/// (a sharded plant passes its aggregate N*H); null for Method::kNone.
+std::unique_ptr<LoadController> MakeController(const ExperimentConfig& config,
+                                               double headroom);
+
+/// The entry shedder of shard `shard`: Aurora's quota shedder (it sheds an
+/// absolute load amount via drop boxes, Eq. 7/8, not a drop fraction),
+/// else an EntryShedder seeded seed + 2 + 7919 * shard.
+std::unique_ptr<Shedder> MakeEntryShedder(const ExperimentConfig& config,
+                                          int shard);
+
+/// The Fig. 14 time-varying cost multiplier: one cost trace seeded
+/// seed + 1, owned by the returned function and read-only, so copies may
+/// run on any thread. Empty when `vary_cost` is off.
+CostMultiplierFn CostMultiplierFor(const ExperimentConfig& config);
 
 }  // namespace ctrlshed
 

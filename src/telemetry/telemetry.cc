@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "telemetry/flight_recorder.h"
 #include "telemetry/sse_sink.h"
 
 namespace ctrlshed {
@@ -20,6 +21,7 @@ std::unique_ptr<Telemetry> Telemetry::Open(const TelemetryOptions& options) {
     std::error_code ec;
     std::filesystem::create_directories(options.dir, ec);
     CS_CHECK_MSG(!ec, "cannot create telemetry directory");
+    SetFlightDumpPath(options.dir + "/ctrlshed.flightdump.json");
   }
   return std::unique_ptr<Telemetry>(new Telemetry(options));
 }
@@ -87,6 +89,14 @@ void Telemetry::SetStatusSource(std::function<std::string()> app_status) {
   // Installed before the run's threads start; the server thread reads it
   // through the status callback afterwards.
   app_status_ = std::move(app_status);
+}
+
+void Telemetry::SetHealthSource(std::function<HealthReport()> health) {
+  if (server_ == nullptr) return;
+  server_->SetHealthCallback([health = std::move(health)] {
+    const HealthReport r = health();
+    return std::make_pair(r.HttpStatus(), r.ToJson());
+  });
 }
 
 std::string Telemetry::trace_path() const {

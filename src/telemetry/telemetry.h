@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "metrics/recorder.h"
+#include "telemetry/health.h"
 #include "telemetry/metrics_registry.h"
 #include "telemetry/server.h"
 #include "telemetry/timeline.h"
@@ -70,7 +71,8 @@ struct TelemetryOptions {
 /// PublishTimelineRow must come from a single thread (the control loop).
 class Telemetry {
  public:
-  /// Creates the directory (when set) and starts the exporter and server.
+  /// Creates the directory (when set), points post-mortem flight dumps at
+  /// <dir>/ctrlshed.flightdump.json, and starts the exporter and server.
   /// Returns null when both `dir` is empty and `server_port` is negative
   /// (telemetry off). Aborts if the directory cannot be created or the
   /// port cannot be bound.
@@ -102,6 +104,11 @@ class Telemetry {
   /// config, shard summaries, …). The callback runs on the server thread;
   /// it must be thread-safe and non-blocking. No-op without a server.
   void SetStatusSource(std::function<std::string()> app_status);
+
+  /// Serves `health`'s verdict on GET /health (HTTP status and JSON body
+  /// from the report). The source runs on the server thread, so it must
+  /// be thread-safe. No-op without a server.
+  void SetHealthSource(std::function<HealthReport()> health);
 
   /// Joins the exporter, flushes metrics.jsonl, writes trace.json, stops
   /// the server (draining connected clients briefly).

@@ -8,6 +8,8 @@
 #include <set>
 #include <sstream>
 
+#include "telemetry/tracer.h"
+
 namespace ctrlshed {
 
 namespace {
@@ -222,27 +224,6 @@ class JsonParser {
   const std::string& s_;
   size_t pos_ = 0;
 };
-
-void WriteJsonString(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
 
 void WriteJsonValue(std::ostream& out, const JsonValue& v) {
   switch (v.type) {

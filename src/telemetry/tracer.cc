@@ -6,8 +6,6 @@
 
 namespace ctrlshed {
 
-namespace {
-
 // Trace names are instrumentation-site literals, but escape defensively so
 // the emitted JSON is well-formed for any name.
 void WriteJsonString(std::ostream& out, const std::string& s) {
@@ -30,8 +28,6 @@ void WriteJsonString(std::ostream& out, const std::string& s) {
   }
   out << '"';
 }
-
-}  // namespace
 
 TraceBuffer::TraceBuffer(Tracer* tracer, std::string thread_name, int tid,
                          size_t capacity)

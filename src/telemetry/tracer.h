@@ -31,6 +31,10 @@ struct TraceEvent {
 
 class Tracer;
 
+/// Writes `s` as a JSON string literal, escaping quotes, backslashes and
+/// control characters.
+void WriteJsonString(std::ostream& out, const std::string& s);
+
 /// The per-thread half of the tracer: a bounded SPSC ring the owning
 /// thread pushes into and the exporter thread drains. Exactly one thread
 /// may call Emit/Instant (the registrant) and exactly one may call Drain
@@ -86,11 +90,16 @@ class ScopedSpan {
       : buf_(buf), name_(name), arg_name_(arg_name), arg_(arg) {
     if (buf_ != nullptr) start_us_ = buf_->NowUs();
   }
-  ~ScopedSpan() {
-    if (buf_ != nullptr) {
-      buf_->Emit(
-          {name_, start_us_, buf_->NowUs() - start_us_, arg_name_, arg_});
-    }
+  ~ScopedSpan() { Close(); }
+
+  /// Closes this span and opens `name` in its place on the same buffer:
+  /// consecutive phases of one thread under one object. A null `name`
+  /// only closes it.
+  void Next(const char* name) {
+    Close();
+    name_ = name;
+    arg_name_ = nullptr;
+    if (buf_ != nullptr) start_us_ = buf_->NowUs();
   }
 
   /// Re-stamps the argument before the span closes (e.g. when the period
@@ -104,6 +113,13 @@ class ScopedSpan {
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
+  void Close() {
+    if (buf_ != nullptr && name_ != nullptr) {
+      buf_->Emit(
+          {name_, start_us_, buf_->NowUs() - start_us_, arg_name_, arg_});
+    }
+  }
+
   TraceBuffer* buf_;
   const char* name_;
   const char* arg_name_ = nullptr;

@@ -21,28 +21,28 @@ ArrivalSource::ArrivalSource(int source_index, RateTrace trace, Spacing spacing,
   CS_CHECK_MSG(!trace_.empty(), "arrival source needs a non-empty trace");
 }
 
-SimTime ArrivalSource::NextArrival(SimTime t) {
-  const SimTime end = trace_.Duration();
+SimTime ArrivalSource::NextArrival(const RateTrace& trace, Spacing spacing,
+                                   Rng& rng, SimTime t) {
+  const SimTime end = trace.Duration();
   SimTime now = t;
   // Walk forward, slot by slot if necessary, until a gap fits before the
   // trace ends. Bounded by the number of slots.
   while (now < end) {
-    const double rate = trace_.At(now);
+    const double rate = trace.At(now);
+    const SimTime width = trace.slot_width();
     if (rate < kMinRate) {
       // Jump to the next slot boundary.
-      const SimTime width = trace_.slot_width();
       now = (std::floor(now / width) + 1.0) * width;
       continue;
     }
-    const double gap = (spacing_ == Spacing::kDeterministic)
+    const double gap = (spacing == Spacing::kDeterministic)
                            ? 1.0 / rate
-                           : rng_.Exponential(rate);
+                           : rng.Exponential(rate);
     const SimTime candidate = now + gap;
     // If the gap crosses into the next slot, re-evaluate from the boundary
     // so rate changes take effect promptly (thinning-style approximation).
-    const SimTime width = trace_.slot_width();
     const SimTime boundary = (std::floor(now / width) + 1.0) * width;
-    if (candidate > boundary && trace_.At(boundary) != rate) {
+    if (candidate > boundary && trace.At(boundary) != rate) {
       now = boundary;
       continue;
     }
@@ -60,7 +60,7 @@ void ArrivalSource::ScheduleNext(Simulation* sim, SimTime t) {
     tup.value = rng_.Uniform();
     tup.aux = rng_.Uniform();
     sink_(tup);
-    ScheduleNext(sim, NextArrival(t));
+    ScheduleNext(sim, NextArrival(trace_, spacing_, rng_, t));
   });
 }
 
@@ -68,7 +68,7 @@ void ArrivalSource::Start(Simulation* sim, ArrivalCallback sink) {
   CS_CHECK_MSG(!sink_, "Start called twice");
   CS_CHECK(sink != nullptr);
   sink_ = std::move(sink);
-  ScheduleNext(sim, NextArrival(0.0));
+  ScheduleNext(sim, NextArrival(trace_, spacing_, rng_, 0.0));
 }
 
 }  // namespace ctrlshed

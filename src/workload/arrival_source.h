@@ -37,11 +37,14 @@ class ArrivalSource {
   int source_index() const { return source_index_; }
   const RateTrace& trace() const { return trace_; }
 
- private:
-  /// Computes the next arrival time strictly after `t`, skipping
-  /// zero-rate slots. Returns a time past the trace end when exhausted.
-  SimTime NextArrival(SimTime t);
+  /// The arrival walk every replay of `trace` shares (sim and wall clock):
+  /// the next arrival time strictly after `t`, skipping zero-rate slots
+  /// and drawing Poisson gaps from `rng`. Returns a time past the trace
+  /// end when exhausted.
+  static SimTime NextArrival(const RateTrace& trace, Spacing spacing,
+                             Rng& rng, SimTime t);
 
+ private:
   void ScheduleNext(Simulation* sim, SimTime t);
 
   int source_index_;

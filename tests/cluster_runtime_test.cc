@@ -222,6 +222,49 @@ TEST(ClusterRuntimeTest, MalformedProducerIsCountedNotFatal) {
   EXPECT_FALSE(result.interrupted);
 }
 
+// The wire source id is an unsigned 32-bit field. Ids at and above 2^31
+// must route to a shard like any other; read as a signed int they would
+// index a negative shard of a 2-worker node.
+TEST(ClusterRuntimeTest, WireSourcesAbove2To31RouteToAShard) {
+  const double duration = 4.0;
+  std::promise<int> port_promise;
+  ClusterNodeResult result;
+  std::thread node_thread([&] {
+    ClusterNodeConfig config;
+    config.base = ControlBase(duration);
+    config.node_id = 4;
+    config.workers = 2;
+    config.controller_port = 0;  // no controller: local-shedding mode
+    config.connect_timeout_wall = 0.1;
+    config.time_compression = kCompression;
+    config.on_ready = [&port_promise](int port) {
+      port_promise.set_value(port);
+    };
+    result = RunClusterNode(config);
+  });
+  const int ingress = port_promise.get_future().get();
+  ASSERT_GT(ingress, 0);
+
+  std::string wire;
+  for (const uint32_t source : {0x80000001u, 0xFFFFFFFFu, 3u}) {
+    Tuple t;
+    t.arrival_time = 0.5;
+    t.value = 0.5;
+    wire += EncodeTupleBatchFrame(source, &t, 1);
+  }
+  const int fd = RawConnect(ingress);
+  ASSERT_EQ(static_cast<ssize_t>(wire.size()),
+            ::send(fd, wire.data(), wire.size(), 0));
+
+  node_thread.join();
+  ::close(fd);
+
+  EXPECT_EQ(result.offered, 3u);
+  EXPECT_EQ(result.ingress_rejected, 0u);
+  EXPECT_EQ(result.corrupt_streams, 0u);
+  EXPECT_FALSE(result.interrupted);
+}
+
 TEST(ClusterRuntimeTest, ControllerStatusExposesClusterBlock) {
   const double duration = 8.0;
   std::promise<int> ctl_port_promise;

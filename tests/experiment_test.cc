@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "runner/experiment.h"
 
 namespace ctrlshed {
@@ -167,6 +172,44 @@ TEST(ExperimentTest, MistunedHeadroomChangesAuroraLoss) {
   double loss_a = RunExperiment(a).summary.loss_ratio;
   double loss_b = RunExperiment(b).summary.loss_ratio;
   EXPECT_GT(loss_b, loss_a);
+}
+
+TEST(ExperimentTest, ConfigErrorNamesEachBadKnob) {
+  EXPECT_EQ(ExperimentConfigError(ExperimentConfig{}), "");
+  ExperimentConfig edge;  // the closed ends of every range are runnable
+  edge.headroom_est = edge.headroom_true = edge.cost_ewma = 1.0;
+  edge.setpoint_schedule = {{0.0, 1.0}, {edge.duration, 3.0}};
+  EXPECT_EQ(ExperimentConfigError(edge), "");
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* knob;
+    std::function<void(ExperimentConfig*)> mutate;
+  };
+  const std::vector<Case> cases = {
+      {"duration", [](ExperimentConfig* c) { c->duration = 0.0; }},
+      {"T", [](ExperimentConfig* c) { c->period = 0.0; }},
+      {"T", [nan](ExperimentConfig* c) { c->period = nan; }},
+      {"yd", [](ExperimentConfig* c) { c->target_delay = -1.0; }},
+      {"capacity", [](ExperimentConfig* c) { c->capacity_rate = 0.0; }},
+      {"H", [](ExperimentConfig* c) { c->headroom_est = 0.0; }},
+      {"H_true", [](ExperimentConfig* c) { c->headroom_true = 1.5; }},
+      {"cost_ewma", [](ExperimentConfig* c) { c->cost_ewma = 0.0; }},
+      {"noise", [](ExperimentConfig* c) { c->estimation_noise = -1.0; }},
+      {"setpoint",
+       [](ExperimentConfig* c) { c->setpoint_schedule = {{-1.0, 3.0}}; }},
+      {"setpoint",
+       [](ExperimentConfig* c) { c->setpoint_schedule = {{500.0, 3.0}}; }},
+      {"setpoint",
+       [](ExperimentConfig* c) { c->setpoint_schedule = {{100.0, 0.0}}; }},
+  };
+  for (const Case& c : cases) {
+    ExperimentConfig cfg;
+    c.mutate(&cfg);
+    const std::string error = ExperimentConfigError(cfg);
+    EXPECT_EQ(error.rfind(std::string(c.knob) + " ", 0), 0u)
+        << c.knob << ": '" << error << "'";
+  }
 }
 
 }  // namespace

@@ -9,9 +9,11 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "rt/rt_clock.h"
 #include "telemetry/timeline.h"
@@ -289,6 +291,38 @@ TEST(RtConfigErrorTest, NamesTheOffendingKnob) {
   RtRunConfig bad_batch = BaseConfig();
   bad_batch.batch = 0;
   EXPECT_NE(RtConfigError(bad_batch).find("batch"), std::string::npos);
+}
+
+TEST(RtConfigErrorTest, TableOfBadNumericKnobs) {
+  struct Case {
+    const char* knob;
+    std::function<void(RtRunConfig*)> mutate;
+  };
+  const std::vector<Case> cases = {
+      // The shared base knobs (ExperimentConfigError)...
+      {"T", [](RtRunConfig* c) { c->base.period = 0.0; }},
+      {"duration", [](RtRunConfig* c) { c->base.duration = 0.0; }},
+      {"yd", [](RtRunConfig* c) { c->base.target_delay = 0.0; }},
+      {"H", [](RtRunConfig* c) { c->base.headroom_est = 2.0; }},
+      {"setpoint",
+       [](RtRunConfig* c) { c->base.setpoint_schedule = {{10.0, -1.0}}; }},
+      // ...and the rt-plant knobs (RtPlantError).
+      {"workers", [](RtRunConfig* c) { c->workers = 65; }},
+      {"compress", [](RtRunConfig* c) { c->time_compression = 0.0; }},
+      {"ring", [](RtRunConfig* c) { c->ring_capacity = 0; }},
+      {"batch", [](RtRunConfig* c) { c->batch = 4097; }},
+      {"pin_cpus", [](RtRunConfig* c) { c->pin_cpus = "0,x"; }},
+  };
+  for (const Case& c : cases) {
+    RtRunConfig cfg = BaseConfig();
+    c.mutate(&cfg);
+    const std::string error = RtConfigError(cfg);
+    EXPECT_EQ(error.rfind(std::string(c.knob) + " ", 0), 0u)
+        << c.knob << ": '" << error << "'";
+  }
+  // The node runs the same plant check on its own knobs.
+  EXPECT_EQ(RtPlantError(2, 20.0, 4096, 64, "auto"), "");
+  EXPECT_EQ(RtPlantError(2, 20.0, 4096, 64, "0,x").rfind("pin_cpus ", 0), 0u);
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
-// Multi-shard rt runtime: SPSC routing stress across 4 shards x 2 global
-// sources each (8 producer threads), and an end-to-end sharded closed
-// loop. The stress test is the TSan workhorse for the partitioned
-// ingress/aggregation paths: every cross-thread handoff in RtLoop's
-// sharded OnArrival, the per-shard shedder mutexes, and the N-worker
-// departure fan-in get exercised concurrently.
+// Multi-shard rt runtime: the shared shard-admission path, SPSC routing
+// stress across 4 shards x 2 global sources each (8 producer threads), and
+// an end-to-end sharded closed loop. The stress test is the TSan workhorse
+// for the partitioned ingress/aggregation paths: every cross-thread
+// handoff in RtLoop's sharded OnArrival, the per-shard shedder mutexes,
+// and the N-worker departure fan-in get exercised concurrently.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "rt/rt_engine.h"
 #include "rt/rt_loop.h"
 #include "rt/rt_runtime.h"
+#include "shedding/entry_shedder.h"
 
 namespace ctrlshed {
 namespace {
@@ -32,6 +35,87 @@ void BuildTwoSourceNetwork(QueryNetwork* net, double entry_cost) {
   net->AddEntry(0, op);
   net->AddEntry(1, op);
   net->Finalize();
+}
+
+// AdmitToShard on an un-started engine: the pump runs synchronously on
+// this thread, so the departures show exactly which tuples got in and
+// under which local source.
+struct AdmitRig {
+  RtClock clock{1.0};  // never started: Pump gets the time
+  QueryNetwork net;
+  std::unique_ptr<RtEngine> engine;
+  std::vector<Departure> departed;
+  std::mutex mu;
+
+  AdmitRig() {
+    BuildTwoSourceNetwork(&net, /*entry_cost=*/1e-6);
+    engine = std::make_unique<RtEngine>(&net, &clock, /*num_sources=*/2,
+                                        RtEngineOptions{});
+    engine->SetDepartureCallback(
+        [this](const Departure& d) { departed.push_back(d); });
+  }
+};
+
+/// 200 tuples (three full chunks of 64 and a tail of 8) from global
+/// source 5, each identified by its arrival time.
+std::vector<Tuple> GlobalSourceBatch() {
+  std::vector<Tuple> tuples(200);
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    tuples[i].source = 5;
+    tuples[i].arrival_time = 1e-3 * static_cast<double>(i + 1);
+    tuples[i].value = 0.5;
+  }
+  return tuples;
+}
+
+EntryShedder SheddingShedder() {
+  EntryShedder shedder(/*seed=*/11);
+  PeriodMeasurement m;
+  m.fin_forecast = 100.0;
+  shedder.Configure(/*v=*/60.0, m);  // alpha = 1 - 60/100
+  return shedder;
+}
+
+TEST(AdmitToShardTest, BatchedDecisionsMatchPerTupleAdmit) {
+  AdmitRig rig;
+  EntryShedder shedder = SheddingShedder();
+  EntryShedder twin = SheddingShedder();
+  ASSERT_DOUBLE_EQ(shedder.drop_probability(), 0.4);
+  const std::vector<Tuple> tuples = GlobalSourceBatch();
+  std::vector<double> expected;  // arrival times the twin admits
+  for (const Tuple& t : tuples) {
+    if (twin.Admit(t)) expected.push_back(t.arrival_time);
+  }
+  ASSERT_GT(expected.size(), 0u);
+  ASSERT_LT(expected.size(), tuples.size());
+
+  AdmitToShard(rig.engine.get(), &shedder, &rig.mu, /*local_source=*/1,
+               tuples.data(), tuples.size());
+  const RtSharedStats* stats = rig.engine->stats();
+  EXPECT_EQ(stats->offered.load(), tuples.size());
+  EXPECT_EQ(stats->entry_shed.load(), tuples.size() - expected.size());
+  EXPECT_EQ(stats->ring_dropped.load(), 0u);
+
+  rig.engine->Pump(/*now=*/10.0);
+  std::vector<double> admitted;
+  for (const Departure& d : rig.departed) {
+    EXPECT_EQ(d.source, 1);  // renumbered to the engine's local source
+    admitted.push_back(d.arrival_time);
+  }
+  std::sort(admitted.begin(), admitted.end());
+  EXPECT_EQ(admitted, expected);
+}
+
+TEST(AdmitToShardTest, NullShedderAdmitsEverything) {
+  AdmitRig rig;
+  const std::vector<Tuple> tuples = GlobalSourceBatch();
+  AdmitToShard(rig.engine.get(), /*shedder=*/nullptr, &rig.mu,
+               /*local_source=*/0, tuples.data(), tuples.size());
+  EXPECT_EQ(rig.engine->stats()->offered.load(), tuples.size());
+  EXPECT_EQ(rig.engine->stats()->entry_shed.load(), 0u);
+  rig.engine->Pump(/*now=*/10.0);
+  ASSERT_EQ(rig.departed.size(), tuples.size());
+  for (const Departure& d : rig.departed) EXPECT_EQ(d.source, 0);
 }
 
 TEST(RtShardedTest, EightProducersRouteAcrossFourShards) {

@@ -37,7 +37,6 @@
 #include "common/build_info.h"
 #include "control/pole_placement.h"
 #include "net/socket_util.h"
-#include "rt/cpu_affinity.h"
 #include "rt/rt_runtime.h"
 #include "runner/experiment.h"
 #include "telemetry/flight_recorder.h"
@@ -87,6 +86,17 @@ double GetDouble(Args& args, const std::string& key, double fallback) {
   if (it == args.end()) return fallback;
   const double v = std::atof(it->second.c_str());
   args.erase(it);
+  return v;
+}
+
+/// A strictly positive double under `key`; anything else (0, negative,
+/// NaN, junk) exits 2 naming the key.
+double GetPositive(Args& args, const std::string& key, double fallback) {
+  const double v = GetDouble(args, key, fallback);
+  if (!(v > 0.0)) {
+    std::fprintf(stderr, "%s must be positive, got %g\n", key.c_str(), v);
+    std::exit(2);
+  }
   return v;
 }
 
@@ -151,6 +161,14 @@ void InstallShutdownHandler() {
   sa.sa_flags = SA_RESETHAND;
   sigaction(SIGINT, &sa, nullptr);
   sigaction(SIGTERM, &sa, nullptr);
+}
+
+/// The exit-2 path for a config the runners would refuse: prints a
+/// non-empty `error` under the subcommand's name and reports it.
+bool ConfigFails(const char* cmd, const std::string& error) {
+  if (error.empty()) return false;
+  std::fprintf(stderr, "ctrlshed %s: %s\n", cmd, error.c_str());
+  return true;
 }
 
 void RejectLeftovers(const Args& args) {
@@ -272,6 +290,7 @@ int CmdRun(Args args) {
   SetupTelemetry(args, &cfg);
   const std::string trace_out = GetString(args, "trace_out", "");
   RejectLeftovers(args);
+  if (ConfigFails("run", ExperimentConfigError(cfg))) return 2;
 
   InstallFlightDumpHandlers();
   ExperimentResult r = RunExperiment(cfg);
@@ -324,11 +343,7 @@ int CmdRt(Args args) {
 
   // Clean CLI error — an actionable message and exit 2 — instead of the
   // runtime's CS_CHECK abort for configs the rt path cannot run.
-  const std::string config_error = RtConfigError(cfg);
-  if (!config_error.empty()) {
-    std::fprintf(stderr, "ctrlshed rt: %s\n", config_error.c_str());
-    return 2;
-  }
+  if (ConfigFails("rt", RtConfigError(cfg))) return 2;
 
   InstallShutdownHandler();
   InstallFlightDumpHandlers();
@@ -449,19 +464,17 @@ int CmdNode(Args args) {
   cfg.ring_capacity = static_cast<size_t>(GetDouble(args, "ring", 4096.0));
   cfg.batch = static_cast<size_t>(GetInt(args, "batch", 1, 1, 4096));
   cfg.pin_cpus = GetString(args, "pin_cpus", "");
-  {
-    std::string pin_error;
-    ParsePinCpus(cfg.pin_cpus, &pin_error);
-    if (!pin_error.empty()) {
-      std::fprintf(stderr, "ctrlshed node: %s\n", pin_error.c_str());
-      return 2;
-    }
-  }
   cfg.cost_mode = GetDouble(args, "busy_spin", 0.0) != 0.0
                       ? RtCostMode::kBusySpin
                       : RtCostMode::kSleep;
   SetupTelemetry(args, &cfg.base);
   RejectLeftovers(args);
+  if (ConfigFails("node", ExperimentConfigError(cfg.base)) ||
+      ConfigFails("node", RtPlantError(cfg.workers, cfg.time_compression,
+                                       cfg.ring_capacity, cfg.batch,
+                                       cfg.pin_cpus))) {
+    return 2;
+  }
 
   InstallShutdownHandler();
   InstallFlightDumpHandlers();
@@ -516,11 +529,12 @@ int CmdCluster(Args args) {
   cfg.stale_periods =
       static_cast<int>(GetInt(args, "stale_periods", 3, 1, 1000));
   cfg.min_nodes = static_cast<int>(GetInt(args, "min_nodes", 0, 0, 1024));
-  cfg.time_compression = GetDouble(args, "compress", 20.0);
+  cfg.time_compression = GetPositive(args, "compress", 20.0);
   const bool gate = GetDouble(args, "gate", 0.0) != 0.0;
   const std::string trace_out = GetString(args, "trace_out", "");
   SetupTelemetry(args, &cfg.base);
   RejectLeftovers(args);
+  if (ConfigFails("cluster", ExperimentConfigError(cfg.base))) return 2;
 
   InstallShutdownHandler();
   InstallFlightDumpHandlers();
@@ -590,7 +604,7 @@ int CmdFeed(Args args) {
   cfg.port = static_cast<int>(GetInt(args, "port", 0, 1, 65535));
   cfg.source_id = static_cast<uint32_t>(GetInt(args, "source", 0, 0, 1 << 20));
   cfg.sources = static_cast<int>(GetInt(args, "sources", 1, 1, 64));
-  cfg.rate_scale = GetDouble(args, "scale", 1.0);
+  cfg.rate_scale = GetPositive(args, "scale", 1.0);
   cfg.base.workload = ParseWorkload(GetString(args, "workload", "web"));
   cfg.base.duration = GetDouble(args, "duration", 60.0);
   cfg.base.constant_rate = GetDouble(args, "rate", 150.0);
@@ -599,8 +613,9 @@ int CmdFeed(Args args) {
     cfg.base.web.mean_rate = GetDouble(args, "mean_rate", 0.0);
   }
   cfg.base.seed = static_cast<uint64_t>(GetDouble(args, "seed", 42.0));
-  cfg.time_compression = GetDouble(args, "compress", 20.0);
+  cfg.time_compression = GetPositive(args, "compress", 20.0);
   RejectLeftovers(args);
+  if (ConfigFails("feed", ExperimentConfigError(cfg.base))) return 2;
 
   InstallShutdownHandler();
   cfg.stop = &g_stop;
