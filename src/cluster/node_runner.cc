@@ -65,6 +65,10 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
   Counter* rejected_metric =
       telemetry ? telemetry->metrics()->GetCounter("net.ingress.rejected")
                 : nullptr;
+  // Mirrors the ingress server's own count, stored once per period.
+  Counter* wakeups_metric =
+      telemetry ? telemetry->metrics()->GetCounter("net.ingress.wakeups")
+                : nullptr;
 
   // The plant: the sharded rt runtime's, with the shard index node-local
   // (each node is its own plant; the cluster-wide view lives in the
@@ -112,12 +116,16 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
   ClusterNodeResult result;
 
   // --- Tuple ingress ------------------------------------------------------
+  // The ingress reads once per pump interval: a tuple read sooner would
+  // only wait in its SPSC ring for the next worker pump, and one wake per
+  // frame made the reactor's syscalls most of the node's CPU.
+  TupleBatch batch;  // reused by every frame, on the serve thread
   FrameServerOptions sopts;
   sopts.port = config.ingress_port;
   sopts.bind_address = config.bind_address;
+  sopts.read_interval_wall = config.pacing_wall_seconds;
   FrameServer ingress(sopts);
   ingress.OnFrame([&](uint64_t /*conn_id*/, const Frame& f) {
-    TupleBatch batch;
     if (f.type != FrameType::kTupleBatch ||
         !DecodeTupleBatch(f.payload, &batch)) {
       ++result.ingress_rejected;
@@ -241,6 +249,7 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
     if (report.ctrl_seq > 0) {
       span.SetArg("period", static_cast<int64_t>(report.ctrl_seq));
     }
+    if (wakeups_metric != nullptr) wakeups_metric->Store(ingress.wakeups());
     if (config.piggyback_metrics && telemetry) {
       report.has_metrics = true;
       report.metrics = FlattenSnapshot(telemetry->metrics()->Snapshot());
@@ -264,6 +273,8 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
   result.ingress_connections = ingress.connections_accepted();
   result.ingress_frames = ingress.frames_received();
   result.corrupt_streams = ingress.corrupt_streams();
+  result.ingress_wakeups = ingress.wakeups();
+  if (wakeups_metric != nullptr) wakeups_metric->Store(result.ingress_wakeups);
   result.final_alpha = agent.last_alpha();
   result.health = agent.Health();
   for (auto& engine : engines) {

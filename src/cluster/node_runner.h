@@ -86,6 +86,10 @@ struct ClusterNodeResult {
   uint64_t ingress_rejected = 0;
   /// Streams dropped for framing corruption (bad magic/length).
   uint64_t corrupt_streams = 0;
+  /// Ingress polls that delivered at least one frame (the
+  /// net.ingress.wakeups counter); ingress_frames / ingress_wakeups is
+  /// the frames each wake carried.
+  uint64_t ingress_wakeups = 0;
 
   // Control-channel accounting.
   bool controller_connected = false;

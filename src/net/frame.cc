@@ -1,5 +1,6 @@
 #include "net/frame.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -17,6 +18,13 @@ uint32_t GetU32(const uint8_t* p) {
 uint64_t GetU64(const uint8_t* p) {
   return static_cast<uint64_t>(GetU32(p)) |
          static_cast<uint64_t>(GetU32(p + 4)) << 32;
+}
+
+double GetF64(const uint8_t* p) {
+  const uint64_t bits = GetU64(p);
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
 }
 
 bool KnownType(uint8_t t) {
@@ -93,19 +101,40 @@ void AppendFrame(FrameType type, const std::string& payload,
   out->append(payload);
 }
 
-void FrameDecoder::Feed(const char* data, size_t n) { buf_.append(data, n); }
+void FrameDecoder::Feed(const char* data, size_t n) {
+  if (n == 0) return;
+  std::memcpy(WriteSpace(n), data, n);
+  Commit(n);
+}
+
+char* FrameDecoder::WriteSpace(size_t n) {
+  if (head_ > 0) {
+    std::memmove(buf_.data(), buf_.data() + head_, end_ - head_);
+    end_ -= head_;
+    head_ = 0;
+  }
+  // Growing to twice the request keeps a partial frame left over from one
+  // write from forcing a reallocation on the next write of the same size.
+  if (buf_.size() - end_ < n) {
+    buf_.resize(std::max(2 * buf_.size(), end_ + 2 * n));
+  }
+  return buf_.data() + end_;
+}
 
 FrameDecoder::Status FrameDecoder::Next(Frame* out) {
-  if (buf_.size() < kFrameHeaderBytes) return Status::kNeedMore;
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(buf_.data());
+  const size_t avail = end_ - head_;
+  if (avail < kFrameHeaderBytes) return Status::kNeedMore;
+  const char* frame = buf_.data() + head_;
+  const uint8_t* p = reinterpret_cast<const uint8_t*>(frame);
   if (GetU32(p) != kFrameMagic) return Status::kCorrupt;
   const uint8_t type = p[4];
   const uint32_t len = GetU32(p + 5);
   if (!KnownType(type) || len > max_payload_) return Status::kCorrupt;
-  if (buf_.size() < kFrameHeaderBytes + len) return Status::kNeedMore;
+  if (avail < kFrameHeaderBytes + len) return Status::kNeedMore;
   out->type = static_cast<FrameType>(type);
-  out->payload.assign(buf_, kFrameHeaderBytes, len);
-  buf_.erase(0, kFrameHeaderBytes + len);
+  out->payload.assign(frame + kFrameHeaderBytes, len);
+  head_ += kFrameHeaderBytes + len;
+  if (head_ == end_) head_ = end_ = 0;  // drained: nothing to compact
   return Status::kFrame;
 }
 
@@ -128,25 +157,26 @@ std::string EncodeTupleBatchFrame(uint32_t source, const Tuple* tuples,
 }
 
 bool DecodeTupleBatch(const std::string& payload, TupleBatch* out) {
-  WireReader r(payload);
-  uint32_t source = 0;
-  uint32_t count = 0;
-  if (!r.ReadU32(&source) || !r.ReadU32(&count)) return false;
+  if (payload.size() < 8) return false;
+  const uint8_t* p = reinterpret_cast<const uint8_t*>(payload.data());
+  const uint32_t source = GetU32(p);
+  const uint32_t count = GetU32(p + 4);
   // Exact-size check rejects both truncated batches and trailing garbage;
   // the count bound keeps a hostile header from driving a huge reserve.
-  if (count > kMaxTuplesPerFrame) return false;
-  if (r.remaining() != static_cast<size_t>(count) * kTupleWireBytes) {
+  if (count > kMaxTuplesPerFrame ||
+      payload.size() - 8 != static_cast<size_t>(count) * kTupleWireBytes) {
     return false;
   }
   out->source = source;
-  out->tuples.clear();
-  out->tuples.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    Tuple t;
-    if (!r.ReadF64(&t.arrival_time) || !r.ReadF64(&t.value) ||
-        !r.ReadF64(&t.aux)) {
-      return false;
-    }
+  out->tuples.resize(count);  // a reused batch keeps its capacity
+  p += 8;
+  for (Tuple& t : out->tuples) {
+    t = Tuple{};
+    t.source = static_cast<int>(source);
+    t.arrival_time = GetF64(p);
+    t.value = GetF64(p + 8);
+    t.aux = GetF64(p + 16);
+    p += kTupleWireBytes;
     // A NaN/inf arrival time would poison the delay accounting the control
     // loop feeds on; reject the whole frame (same all-or-nothing policy as
     // trace parsing).
@@ -154,10 +184,8 @@ bool DecodeTupleBatch(const std::string& payload, TupleBatch* out) {
         !std::isfinite(t.aux)) {
       return false;
     }
-    t.source = static_cast<int>(source);
-    out->tuples.push_back(t);
   }
-  return r.AtEnd();
+  return true;
 }
 
 }  // namespace ctrlshed

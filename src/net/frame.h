@@ -77,6 +77,11 @@ void AppendFrame(FrameType type, const std::string& payload, std::string* out);
 /// received bytes; Next() pops complete frames. Corruption (bad magic,
 /// unknown type, oversized length) is unrecoverable for a byte stream —
 /// the caller must drop the connection.
+///
+/// Next() only advances a read offset; the consumed prefix is compacted
+/// away once per write (Feed or WriteSpace), not once per frame. A reused
+/// decoder and a reused Frame allocate nothing once the buffer and the
+/// payload string have grown to the stream's largest frame.
 class FrameDecoder {
  public:
   enum class Status {
@@ -89,13 +94,21 @@ class FrameDecoder {
       : max_payload_(max_payload) {}
 
   void Feed(const char* data, size_t n);
+  /// Room for at least `n` more bytes after the buffered ones, so a reader
+  /// can recv() straight into the decoder; Commit(k), k <= n, then appends
+  /// the k bytes written there. The pointer is valid until the decoder's
+  /// next Feed, WriteSpace or Next.
+  char* WriteSpace(size_t n);
+  void Commit(size_t n) { end_ += n; }
   Status Next(Frame* out);
 
-  size_t buffered() const { return buf_.size(); }
+  size_t buffered() const { return end_ - head_; }
 
  private:
   size_t max_payload_;
-  std::string buf_;
+  std::vector<char> buf_;  // unread bytes are [head_, end_)
+  size_t head_ = 0;
+  size_t end_ = 0;
 };
 
 // --- Tuple batch codec ----------------------------------------------------

@@ -26,6 +26,14 @@ struct FrameServerOptions {
   size_t max_out_buffer = size_t{4} << 20;
   /// How long Stop() keeps flushing pending outbound bytes (wall seconds).
   double drain_timeout_wall = 0.25;
+  /// Read pacing (wall seconds). After a wake that delivered frames, the
+  /// serve thread waits out the rest of this interval on its self-pipe
+  /// alone (Stop() and Send() still cut the wait short), then reads every
+  /// readable connection until EAGAIN: one wake per interval under load,
+  /// not one per frame. A quiet server blocks in poll() as at 0, so the
+  /// first frame after an idle gap is read at once. 0 reads as soon as
+  /// bytes arrive.
+  double read_interval_wall = 0.0;
 };
 
 /// Dependency-free poll()-based TCP server speaking the length-prefixed
@@ -38,7 +46,11 @@ struct FrameServerOptions {
 /// require. A stream that fails the frame magic / bounds checks is
 /// counted and the connection dropped — malformed *payloads* inside
 /// well-formed frames are the handler's policy (it counts its own
-/// rejects).
+/// rejects). Stop() delivers every complete frame its peers already sent
+/// before the serve thread exits. In steady state the read path allocates
+/// nothing: sockets are read straight into each connection's decoder, and
+/// one Frame (its payload string included) is reused for every delivery,
+/// so a handler must copy what it keeps.
 class FrameServer {
  public:
   /// `conn_id` is stable for the lifetime of one connection, never reused.
@@ -68,17 +80,22 @@ class FrameServer {
   uint64_t frames_received() const { return frames_received_.load(); }
   /// Streams dropped for framing corruption (bad magic/type/length).
   uint64_t corrupt_streams() const { return corrupt_streams_.load(); }
+  /// Polls that delivered at least one frame; frames_received() / wakeups()
+  /// is the frames each wake carried.
+  uint64_t wakeups() const { return wakeups_.load(); }
 
  private:
   struct Conn;
-  struct PendingFrame {
-    uint64_t conn_id;
-    Frame frame;
-  };
+  struct ServeState;
 
   void Serve();
+  size_t PollOnce(ServeState* s, bool accept, int timeout_ms);
+  void ReadAll(ServeState* s);
+  size_t ReadConn(Conn* c, Frame* frame);
+  void Reap(ServeState* s);
+  bool HasPendingOut();
+  void WaitOnWakePipe(double until_wall) const;
   void AcceptNew();
-  void HandleReadable(Conn* c, std::vector<PendingFrame>* decoded);
   void FlushConn(Conn* c);
   void CloseConn(Conn* c);
   void Wake();
@@ -102,6 +119,7 @@ class FrameServer {
   std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> frames_received_{0};
   std::atomic<uint64_t> corrupt_streams_{0};
+  std::atomic<uint64_t> wakeups_{0};
 };
 
 }  // namespace ctrlshed

@@ -149,6 +149,8 @@ std::string HelpText(const std::string& family) {
       {"telemetry_export_write_failures_total", "Metrics-exporter write errors."},
       {"net_ingress_rejected_total",
        "Malformed-but-well-framed tuple payloads rejected at TCP ingress."},
+      {"net_ingress_wakeups_total",
+       "TCP ingress reactor polls that delivered at least one frame."},
       {"ctrlshed_health_verdict",
        "Control-loop health verdict: 0 ok, 1 degraded, 2 critical."},
       {"ctrlshed_health_tracking_rms",

@@ -2,7 +2,8 @@
 // controller, real nodes, and real feeders wired over loopback TCP inside
 // one test binary. Time-compressed so each scenario costs well under a
 // second of wall time. Also the ingress-hardening regression (a malformed
-// producer is counted, never fatal) and the /status cluster block.
+// producer is counted, never fatal), the ingress wake counter and the
+// /status cluster block.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <limits>
@@ -263,6 +265,75 @@ TEST(ClusterRuntimeTest, WireSourcesAbove2To31RouteToAShard) {
   EXPECT_EQ(result.ingress_rejected, 0u);
   EXPECT_EQ(result.corrupt_streams, 0u);
   EXPECT_FALSE(result.interrupted);
+}
+
+// The ingress reactor counts its wakes (polls that delivered frames): the
+// node reports them in its result and serves them as
+// net_ingress_wakeups_total.
+TEST(ClusterRuntimeTest, NodeCountsIngressWakeups) {
+  const double duration = 40.0;  // 2 s of wall time at kCompression
+  std::promise<int> port_promise;
+  std::promise<int> http_port_promise;
+  ClusterNodeResult result;
+  std::thread node_thread([&] {
+    ClusterNodeConfig config;
+    config.base = ControlBase(duration);
+    config.base.telemetry.dir = ::testing::TempDir() + "cluster_wake_node";
+    config.base.telemetry.trace = false;
+    config.base.telemetry.server_port = 0;
+    config.base.telemetry.on_server_start = [&http_port_promise](int port) {
+      http_port_promise.set_value(port);
+    };
+    config.node_id = 6;
+    config.workers = 1;
+    config.controller_port = 0;  // no controller: local-shedding mode
+    config.connect_timeout_wall = 0.1;
+    config.time_compression = kCompression;
+    config.on_ready = [&port_promise](int port) {
+      port_promise.set_value(port);
+    };
+    result = RunClusterNode(config);
+  });
+  const int http_port = http_port_promise.get_future().get();
+  const int ingress = port_promise.get_future().get();
+
+  std::string wire;
+  for (int i = 0; i < 4; ++i) {
+    Tuple t;
+    t.arrival_time = 0.5;
+    t.value = 0.5;
+    wire += EncodeTupleBatchFrame(0, &t, 1);
+  }
+  const int fd = RawConnect(ingress);
+  ASSERT_EQ(static_cast<ssize_t>(wire.size()),
+            ::send(fd, wire.data(), wire.size(), 0));
+
+  // The counter mirrors the server's count once per period; poll a scrape.
+  const std::string series = "\nnet_ingress_wakeups_total ";
+  std::string metrics;
+  uint64_t scraped = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (scraped == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    metrics = HttpGet(http_port, "/metrics");
+    const size_t at = metrics.find(series);
+    if (at != std::string::npos) {
+      scraped = std::strtoull(metrics.c_str() + at + series.size(), nullptr,
+                              10);
+    }
+  }
+  EXPECT_GE(scraped, 1u) << metrics;
+  EXPECT_NE(metrics.find("# TYPE net_ingress_wakeups_total counter"),
+            std::string::npos);
+
+  node_thread.join();
+  ::close(fd);
+  EXPECT_EQ(result.ingress_frames, 4u);
+  EXPECT_EQ(result.offered, 4u);
+  EXPECT_GE(result.ingress_wakeups, 1u);
+  EXPECT_LE(result.ingress_wakeups, result.ingress_frames);
+  EXPECT_GE(result.ingress_wakeups, scraped);
 }
 
 TEST(ClusterRuntimeTest, ControllerStatusExposesClusterBlock) {

@@ -1,9 +1,9 @@
 // Unit tests of the cluster framing layer: the length-prefixed frame
-// codec, the hardened tuple-batch decoder (satellite of the distributed
-// subsystem: oversized frames, truncated batches, non-finite floats and
-// trailing garbage are counted drops, never crashes), and the control
-// wire messages — round-trips plus a seeded fuzz sweep over malformed
-// bytes.
+// codec (including a stream cut at every split point and in random
+// chunks), the hardened tuple-batch decoder (oversized frames, truncated
+// batches, non-finite floats and trailing garbage are counted drops, never
+// crashes), and the control wire messages — round-trips plus a seeded
+// fuzz sweep over malformed bytes.
 
 #include "net/frame.h"
 
@@ -254,6 +254,104 @@ TEST(TupleBatchTest, FuzzedStreamsNeverCrashDecoder) {
     Frame f;
     while (dec.Next(&f) == FrameDecoder::Status::kFrame) {
     }
+  }
+}
+
+// --- Stream splitting -----------------------------------------------------
+// The decoder consumes by advancing a read offset and compacts once per
+// Feed, so a frame may start, end or straddle anywhere in a write. Every
+// way of cutting one stream must decode to the frames a one-shot feed
+// gives, and end in kNeedMore.
+
+/// A mixed stream: tuple batches of 0-64 tuples between control frames.
+std::string MixedStream(Rng* rng, int frames) {
+  std::string wire;
+  for (int i = 0; i < frames; ++i) {
+    if (rng->Bernoulli(0.6)) {
+      const std::vector<Tuple> tuples =
+          SomeTuples(static_cast<size_t>(rng->UniformInt(0, 64)));
+      wire += EncodeTupleBatchFrame(
+          static_cast<uint32_t>(rng->UniformInt(0, 1000)), tuples.data(),
+          tuples.size());
+    } else {
+      const auto type = static_cast<FrameType>(
+          rng->UniformInt(static_cast<int>(FrameType::kHello),
+                          static_cast<int>(FrameType::kHelloAck)));
+      AppendFrame(type,
+                  std::string(static_cast<size_t>(rng->UniformInt(0, 40)),
+                              static_cast<char>('a' + i % 26)),
+                  &wire);
+    }
+  }
+  return wire;
+}
+
+/// Feeds `wire` to one decoder in chunks ending at each of `cuts` (then at
+/// the end) and drains it after every chunk.
+std::vector<Frame> DecodeCut(const std::string& wire,
+                             const std::vector<size_t>& cuts) {
+  FrameDecoder dec;
+  std::vector<Frame> frames;
+  Frame f;
+  size_t begin = 0;
+  for (size_t i = 0; i <= cuts.size(); ++i) {
+    const size_t end = i < cuts.size() ? cuts[i] : wire.size();
+    dec.Feed(wire.data() + begin, end - begin);
+    begin = end;
+    FrameDecoder::Status st;
+    while ((st = dec.Next(&f)) == FrameDecoder::Status::kFrame) {
+      frames.push_back(f);
+    }
+    EXPECT_EQ(st, FrameDecoder::Status::kNeedMore);
+  }
+  EXPECT_EQ(dec.buffered(), 0u);
+  return frames;
+}
+
+void ExpectSameFrames(const std::vector<Frame>& want,
+                      const std::vector<Frame>& got) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].type, want[i].type) << "frame " << i;
+    EXPECT_EQ(got[i].payload, want[i].payload) << "frame " << i;
+  }
+}
+
+TEST(FrameDecoderTest, EverySingleSplitDecodesLikeOneShot) {
+  Rng rng(20261017);
+  const std::string wire = MixedStream(&rng, 24);
+  const std::vector<Frame> want = DecodeCut(wire, {});
+  ASSERT_EQ(want.size(), 24u);
+  // Every batch in the stream is a valid tuple payload.
+  TupleBatch batch;
+  for (const Frame& f : want) {
+    if (f.type == FrameType::kTupleBatch) {
+      EXPECT_TRUE(DecodeTupleBatch(f.payload, &batch));
+    }
+  }
+  for (size_t cut = 0; cut <= wire.size(); ++cut) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    ExpectSameFrames(want, DecodeCut(wire, {cut}));
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(FrameDecoderTest, RandomChunksDecodeLikeOneShot) {
+  Rng rng(5000);
+  for (int iter = 0; iter < 200; ++iter) {
+    const std::string wire = MixedStream(&rng, 60);
+    const std::vector<Frame> want = DecodeCut(wire, {});
+    std::vector<size_t> cuts;
+    for (size_t at = 0;;) {
+      // Log-uniform over 1-5000 bytes: byte-sized and multi-frame chunks
+      // both come up often.
+      at += static_cast<size_t>(std::exp(rng.Uniform(0.0, std::log(5000.0))));
+      if (at >= wire.size()) break;
+      cuts.push_back(at);
+    }
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+    ExpectSameFrames(want, DecodeCut(wire, cuts));
+    if (::testing::Test::HasFailure()) return;
   }
 }
 

@@ -1,7 +1,9 @@
 // Loopback tests of the poll()-based FrameServer and the blocking
-// FrameClient: frame delivery both ways, corrupt-stream disconnection, and
-// the SIGPIPE regressions — a peer that vanishes mid-write must surface as
-// a failed send, never as a fatal signal.
+// FrameClient: frame delivery both ways, corrupt-stream disconnection,
+// read pacing (coalesced wakes, an idle server reading at once, Stop()
+// delivering what a paced server had not read yet), and the SIGPIPE
+// regressions — a peer that vanishes mid-write must surface as a failed
+// send, never as a fatal signal.
 
 #include <gtest/gtest.h>
 
@@ -169,6 +171,105 @@ TEST(FrameServerTest, SendToUnknownConnectionFails) {
   AppendFrame(FrameType::kAck, "", &wire);
   EXPECT_FALSE(server.Send(12345, wire));
   server.Stop();
+}
+
+// --- Read pacing -----------------------------------------------------------
+
+void SendAll(int fd, const std::string& bytes) {
+  size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off, 0);
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    off += static_cast<size_t>(n);
+  }
+}
+
+std::string NumberedFrame(int i) {
+  std::string wire;
+  AppendFrame(FrameType::kStatsReport, std::to_string(i), &wire);
+  return wire;
+}
+
+void ExpectNumberedInOrder(FrameLog* log, int n) {
+  std::lock_guard<std::mutex> lock(log->mu);
+  ASSERT_EQ(log->frames.size(), static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(log->frames[static_cast<size_t>(i)].payload, std::to_string(i));
+  }
+}
+
+TEST(FrameServerTest, PacedServerCoalescesWakes) {
+  // 200 frames spread over ~100 ms against a 50 ms read interval: the
+  // server reads a few times, not once per frame, and loses nothing.
+  FrameLog log;
+  FrameServerOptions opts;
+  opts.read_interval_wall = 0.05;
+  FrameServer server(opts);
+  server.OnFrame([&log](uint64_t id, const Frame& f) { log.Add(id, f); });
+  server.Start();
+
+  const int fd = RawConnect(server.port());
+  for (int i = 0; i < 200; ++i) {
+    SendAll(fd, NumberedFrame(i));
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  ASSERT_TRUE(WaitFor([&] { return log.size() == 200; }));
+  ExpectNumberedInOrder(&log, 200);
+  EXPECT_GE(server.wakeups(), 1u);
+  EXPECT_LE(server.wakeups(), 10u);
+
+  ::close(fd);
+  server.Stop();
+}
+
+TEST(FrameServerTest, IdlePacedServerReadsAtOnce) {
+  // Pacing follows only a wake that delivered frames. A quiet server
+  // blocks in poll(), so a frame after an idle gap arrives at once rather
+  // than up to an interval later.
+  FrameLog log;
+  FrameServerOptions opts;
+  opts.read_interval_wall = 1.0;
+  FrameServer server(opts);
+  server.OnFrame([&log](uint64_t id, const Frame& f) { log.Add(id, f); });
+  server.Start();
+
+  const int fd = RawConnect(server.port());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  SendAll(fd, NumberedFrame(0));
+  ASSERT_TRUE(WaitFor([&] { return log.size() == 1; }, 0.5));
+  // Past the paced wait that frame started, the server is idle again.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1100));
+  SendAll(fd, NumberedFrame(1));
+  EXPECT_TRUE(WaitFor([&] { return log.size() == 2; }, 0.5));
+  EXPECT_EQ(server.wakeups(), 2u);
+
+  ::close(fd);
+  server.Stop();
+}
+
+TEST(FrameServerTest, StopDeliversFramesBufferedWhilePaced) {
+  // Frames sent while a paced server waits out its interval sit unread in
+  // the socket. Stop() must read and deliver them before the serve thread
+  // exits, not close them away with the connection.
+  FrameLog log;
+  FrameServerOptions opts;
+  opts.read_interval_wall = 0.3;
+  FrameServer server(opts);
+  server.OnFrame([&log](uint64_t id, const Frame& f) { log.Add(id, f); });
+  server.Start();
+
+  const int fd = RawConnect(server.port());
+  SendAll(fd, NumberedFrame(0));
+  ASSERT_TRUE(WaitFor([&] { return log.size() == 1; }));
+  std::string rest;
+  for (int i = 1; i < 10; ++i) rest += NumberedFrame(i);
+  SendAll(fd, rest);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  server.Stop();
+
+  ExpectNumberedInOrder(&log, 10);
+  EXPECT_EQ(server.frames_received(), 10u);
+  ::close(fd);
 }
 
 // --- SIGPIPE regressions ---------------------------------------------------

@@ -496,11 +496,15 @@ int CmdNode(Args args) {
   std::printf("departed           %llu\n",
               static_cast<unsigned long long>(r.departed));
   std::printf("ingress            %llu connections, %llu frames, "
-              "%llu rejected, %llu corrupt streams\n",
+              "%llu rejected, %llu corrupt streams, %.1f frames/wake\n",
               static_cast<unsigned long long>(r.ingress_connections),
               static_cast<unsigned long long>(r.ingress_frames),
               static_cast<unsigned long long>(r.ingress_rejected),
-              static_cast<unsigned long long>(r.corrupt_streams));
+              static_cast<unsigned long long>(r.corrupt_streams),
+              r.ingress_wakeups == 0
+                  ? 0.0
+                  : static_cast<double>(r.ingress_frames) /
+                        static_cast<double>(r.ingress_wakeups));
   std::printf("control            %s, %llu reports sent, %llu actuations "
               "applied, %llu rejected\n",
               r.controller_connected ? "connected" : "standalone",
