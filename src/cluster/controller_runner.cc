@@ -62,25 +62,19 @@ ClusterControllerResult RunClusterController(
     ctl.SetMetricsSink(telemetry->metrics());
   }
 
-  // loop_mu serializes the two threads that touch ctl and the node/conn
-  // maps: the frame server's serve thread and this (period) thread.
+  // loop_mu serializes the threads that touch ctl and the node/conn maps:
+  // the frame server's serve thread, this (period) thread, and the
+  // telemetry server's thread running the sources below. Lock order:
+  // loop_mu -> telemetry publish lock (the record callback publishes under
+  // loop_mu) -> reactor lock. No server lock is held while a source runs,
+  // so the sources take loop_mu like any other reader.
   std::mutex loop_mu;
   std::unordered_map<uint64_t, uint32_t> conn_node;  // conn -> node
   std::unordered_map<uint32_t, uint64_t> node_conn;  // node -> live conn
 
-  // The /status cluster block is PREBUILT here whenever membership or
-  // freshness changes, and the telemetry status source only copies it out
-  // under this leaf mutex. The source must not take loop_mu: the telemetry
-  // server invokes it under its own lock, while the record callback above
-  // publishes rows INTO that lock while holding loop_mu — sourcing status
-  // through loop_mu would close a lock-order cycle.
-  std::mutex status_mu;
-  std::string status_json;
-  std::string fleet_json = "{\"nodes\":[]}";
-  HealthReport health;
-  // Requires loop_mu held (reads ctl); safe before the threads start too.
-  const auto refresh_status = [&ctl, &clock, &base, &status_mu, &status_json,
-                               &fleet_json, &health] {
+  // The /status cluster block and the /fleet body, built on demand.
+  // Requires loop_mu held (reads ctl).
+  const auto cluster_views = [&ctl, &clock, &base] {
     const SimTime now = clock.Now();
     char buf[256];
     std::snprintf(buf, sizeof(buf),
@@ -140,13 +134,7 @@ ClusterControllerResult RunClusterController(
     std::snprintf(buf, sizeof(buf), "],\"period\":%g,\"target_delay\":%g}",
                   base.period, ctl.target_delay());
     fleet += buf;
-    // The /health verdict is prebuilt under loop_mu for the same reason
-    // the status/fleet snapshots are: the server must never reach into ctl.
-    HealthReport verdict = ctl.Health();
-    std::lock_guard<std::mutex> lock(status_mu);
-    status_json = std::move(json);
-    fleet_json = std::move(fleet);
-    health = std::move(verdict);
+    return std::make_pair(std::move(json), std::move(fleet));
   };
 
   ClusterControllerResult result;
@@ -183,7 +171,6 @@ ClusterControllerResult RunClusterController(
                 ? static_cast<uint64_t>(telemetry->tracer()->NowUs())
                 : 0;
         server.Send(conn_id, EncodeHelloAckFrame(ha));
-        refresh_status();
         return;
       }
       case FrameType::kStatsReport: {
@@ -197,7 +184,6 @@ ClusterControllerResult RunClusterController(
         }
         ctl.OnReport(r, clock.Now());
         ++result.reports;
-        refresh_status();
         return;
       }
       case FrameType::kAck: {
@@ -233,24 +219,20 @@ ClusterControllerResult RunClusterController(
   });
 
   if (telemetry) {
-    // The /status cluster block: role, membership, and per-node freshness,
-    // served from the prebuilt snapshot (see refresh_status above).
-    refresh_status();  // threads not started yet; loop_mu not needed
-    telemetry->SetStatusSource([&status_mu, &status_json] {
-      std::lock_guard<std::mutex> lock(status_mu);
-      return status_json;
+    // The /status cluster block (role, membership, per-node freshness),
+    // /health and /fleet, each read from ctl when requested.
+    telemetry->SetStatusSource([&] {
+      std::lock_guard<std::mutex> lock(loop_mu);
+      return cluster_views().first;
     });
-    // Same leaf-mutex discipline as the status source: the server must
-    // never pull /fleet or /health through loop_mu (lock-order cycle with
-    // the record callback publishing into the server's own lock).
-    telemetry->SetHealthSource([&status_mu, &health] {
-      std::lock_guard<std::mutex> lock(status_mu);
-      return health;
+    telemetry->SetHealthSource([&] {
+      std::lock_guard<std::mutex> lock(loop_mu);
+      return ctl.Health();
     });
     if (telemetry->server() != nullptr) {
-      telemetry->server()->SetFleetCallback([&status_mu, &fleet_json] {
-        std::lock_guard<std::mutex> lock(status_mu);
-        return fleet_json;
+      telemetry->server()->SetFleetCallback([&] {
+        std::lock_guard<std::mutex> lock(loop_mu);
+        return cluster_views().second;
       });
     }
   }
@@ -296,9 +278,6 @@ ClusterControllerResult RunClusterController(
       // An idle tick assigns no seq; only a commanding tick gets the
       // period id stamped on its span.
       if (!commands.empty()) tick_seq = ctl.seq();
-      // A tick can age a silent node out of the fold with no frame ever
-      // arriving, so freshness changes here too, not just in OnFrame.
-      refresh_status();
     }
     if (tick_seq > 0) {
       span.SetArg("period", static_cast<int64_t>(tick_seq));

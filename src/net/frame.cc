@@ -1,6 +1,5 @@
 #include "net/frame.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -107,34 +106,26 @@ void FrameDecoder::Feed(const char* data, size_t n) {
   Commit(n);
 }
 
-char* FrameDecoder::WriteSpace(size_t n) {
-  if (head_ > 0) {
-    std::memmove(buf_.data(), buf_.data() + head_, end_ - head_);
-    end_ -= head_;
-    head_ = 0;
-  }
-  // Growing to twice the request keeps a partial frame left over from one
-  // write from forcing a reallocation on the next write of the same size.
-  if (buf_.size() - end_ < n) {
-    buf_.resize(std::max(2 * buf_.size(), end_ + 2 * n));
-  }
-  return buf_.data() + end_;
+FrameDecoder::Status FrameDecoder::Next(Frame* out) {
+  size_t used = 0;
+  const Status st = Parse(buf_.unread(), max_payload_, out, &used);
+  if (st == Status::kFrame) buf_.Consume(used);
+  return st;
 }
 
-FrameDecoder::Status FrameDecoder::Next(Frame* out) {
-  const size_t avail = end_ - head_;
-  if (avail < kFrameHeaderBytes) return Status::kNeedMore;
-  const char* frame = buf_.data() + head_;
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(frame);
+FrameDecoder::Status FrameDecoder::Parse(std::string_view bytes,
+                                         size_t max_payload, Frame* out,
+                                         size_t* used) {
+  if (bytes.size() < kFrameHeaderBytes) return Status::kNeedMore;
+  const uint8_t* p = reinterpret_cast<const uint8_t*>(bytes.data());
   if (GetU32(p) != kFrameMagic) return Status::kCorrupt;
   const uint8_t type = p[4];
   const uint32_t len = GetU32(p + 5);
-  if (!KnownType(type) || len > max_payload_) return Status::kCorrupt;
-  if (avail < kFrameHeaderBytes + len) return Status::kNeedMore;
+  if (!KnownType(type) || len > max_payload) return Status::kCorrupt;
+  if (bytes.size() < kFrameHeaderBytes + len) return Status::kNeedMore;
   out->type = static_cast<FrameType>(type);
-  out->payload.assign(frame + kFrameHeaderBytes, len);
-  head_ += kFrameHeaderBytes + len;
-  if (head_ == end_) head_ = end_ = 0;  // drained: nothing to compact
+  out->payload.assign(bytes.data() + kFrameHeaderBytes, len);
+  *used = kFrameHeaderBytes + len;
   return Status::kFrame;
 }
 

@@ -4,9 +4,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/tuple.h"
+#include "net/byte_buffer.h"
 
 namespace ctrlshed {
 
@@ -98,17 +100,21 @@ class FrameDecoder {
   /// can recv() straight into the decoder; Commit(k), k <= n, then appends
   /// the k bytes written there. The pointer is valid until the decoder's
   /// next Feed, WriteSpace or Next.
-  char* WriteSpace(size_t n);
-  void Commit(size_t n) { end_ += n; }
+  char* WriteSpace(size_t n) { return buf_.WriteSpace(n); }
+  void Commit(size_t n) { buf_.Commit(n); }
   Status Next(Frame* out);
 
-  size_t buffered() const { return end_ - head_; }
+  size_t buffered() const { return buf_.size(); }
+
+  /// The frame parser: decodes the frame at the front of `bytes` into *out
+  /// and stores its size (header included) in *used. kNeedMore and
+  /// kCorrupt leave both untouched. Next() and FrameServer's reads share it.
+  static Status Parse(std::string_view bytes, size_t max_payload, Frame* out,
+                      size_t* used);
 
  private:
   size_t max_payload_;
-  std::vector<char> buf_;  // unread bytes are [head_, end_)
-  size_t head_ = 0;
-  size_t end_ = 0;
+  ByteBuffer buf_;
 };
 
 // --- Tuple batch codec ----------------------------------------------------

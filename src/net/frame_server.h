@@ -4,13 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
+#include <string_view>
 
 #include "net/frame.h"
+#include "net/reactor.h"
 
 namespace ctrlshed {
 
@@ -36,10 +34,9 @@ struct FrameServerOptions {
   double read_interval_wall = 0.0;
 };
 
-/// Dependency-free poll()-based TCP server speaking the length-prefixed
-/// frame protocol, in the style of TelemetryServer: one serve thread, all
-/// sockets non-blocking, a self-pipe for wakeups, bounded buffers
-/// everywhere, MSG_NOSIGNAL on every send.
+/// The length-prefixed frame protocol over the shared socket Reactor
+/// (net/reactor.h), which owns the sockets, the poll loop and the serve
+/// thread.
 ///
 /// Decoded frames are delivered to the OnFrame handler ON THE SERVE
 /// THREAD, which makes it the single producer the SPSC ingress rings
@@ -48,9 +45,9 @@ struct FrameServerOptions {
 /// well-formed frames are the handler's policy (it counts its own
 /// rejects). Stop() delivers every complete frame its peers already sent
 /// before the serve thread exits. In steady state the read path allocates
-/// nothing: sockets are read straight into each connection's decoder, and
-/// one Frame (its payload string included) is reused for every delivery,
-/// so a handler must copy what it keeps.
+/// nothing: sockets are read straight into each connection's input buffer,
+/// frames are parsed in place, and one Frame (its payload string included)
+/// is reused for every delivery, so a handler must copy what it keeps.
 class FrameServer {
  public:
   /// `conn_id` is stable for the lifetime of one connection, never reused.
@@ -75,51 +72,26 @@ class FrameServer {
   /// dead for our purposes).
   bool Send(uint64_t conn_id, std::string bytes);
 
-  int port() const { return port_; }
-  uint64_t connections_accepted() const { return connections_accepted_.load(); }
+  int port() const { return reactor_.port(); }
+  uint64_t connections_accepted() const { return reactor_.accepted(); }
   uint64_t frames_received() const { return frames_received_.load(); }
   /// Streams dropped for framing corruption (bad magic/type/length).
   uint64_t corrupt_streams() const { return corrupt_streams_.load(); }
   /// Polls that delivered at least one frame; frames_received() / wakeups()
   /// is the frames each wake carried.
-  uint64_t wakeups() const { return wakeups_.load(); }
+  uint64_t wakeups() const { return reactor_.wakeups(); }
 
  private:
-  struct Conn;
-  struct ServeState;
+  size_t Deliver(uint64_t conn_id, std::string_view unread);
 
-  void Serve();
-  size_t PollOnce(ServeState* s, bool accept, int timeout_ms);
-  void ReadAll(ServeState* s);
-  size_t ReadConn(Conn* c, Frame* frame);
-  void Reap(ServeState* s);
-  bool HasPendingOut();
-  void WaitOnWakePipe(double until_wall) const;
-  void AcceptNew();
-  void FlushConn(Conn* c);
-  void CloseConn(Conn* c);
-  void Wake();
-
-  FrameServerOptions options_;
+  const FrameServerOptions options_;
   FrameHandler on_frame_;
   DisconnectHandler on_disconnect_;
+  Frame frame_;  // reused for every delivery; serve thread only
 
-  int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
-  int port_ = 0;
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stop_requested_{false};
-  std::thread thread_;
-
-  std::mutex mu_;  // guards conns_, their out buffers, and disconnected_
-  std::vector<std::unique_ptr<Conn>> conns_;
-  std::vector<uint64_t> disconnected_;  // closed ids awaiting handler dispatch
-  uint64_t next_conn_id_ = 1;
-
-  std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> frames_received_{0};
   std::atomic<uint64_t> corrupt_streams_{0};
-  std::atomic<uint64_t> wakeups_{0};
+  Reactor reactor_;  // last: its serve thread uses the members above
 };
 
 }  // namespace ctrlshed

@@ -1,20 +1,15 @@
 #include "net/socket_util.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <mutex>
 #include <thread>
-
-#include "common/macros.h"
 
 namespace ctrlshed {
 
@@ -28,47 +23,10 @@ void IgnoreSigPipe() {
   });
 }
 
-void SetNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  CS_CHECK_MSG(flags >= 0, "fcntl(F_GETFL) failed");
-  CS_CHECK_MSG(fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-               "fcntl(F_SETFL, O_NONBLOCK) failed");
-}
-
-int CreateListener(const std::string& bind_ip, int port, int* bound_port,
-                   std::string* error) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (error != nullptr) *error = "socket() failed";
-    return -1;
-  }
-  const int one = 1;
-  setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (inet_pton(AF_INET, bind_ip.c_str(), &addr.sin_addr) != 1) {
-    if (error != nullptr) *error = "bad bind address " + bind_ip;
-    close(fd);
-    return -1;
-  }
-  if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      listen(fd, 64) != 0) {
-    if (error != nullptr) {
-      *error = "cannot listen on " + bind_ip + ": " + std::strerror(errno);
-    }
-    close(fd);
-    return -1;
-  }
-  socklen_t len = sizeof(addr);
-  if (getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    if (error != nullptr) *error = "getsockname failed";
-    close(fd);
-    return -1;
-  }
-  if (bound_port != nullptr) *bound_port = ntohs(addr.sin_port);
-  return fd;
+bool IsLoopbackAddress(const std::string& ip) {
+  in_addr addr{};
+  return inet_pton(AF_INET, ip.c_str(), &addr) == 1 &&
+         (ntohl(addr.s_addr) >> 24) == 127;
 }
 
 int ConnectWithRetry(const std::string& host, int port,

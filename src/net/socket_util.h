@@ -11,14 +11,9 @@ namespace ctrlshed {
 /// disconnected peer can never kill a live run.
 void IgnoreSigPipe();
 
-/// Puts `fd` into non-blocking mode; aborts on fcntl failure.
-void SetNonBlocking(int fd);
-
-/// Creates a listening TCP socket bound to `bind_ip:port` (port 0 picks an
-/// ephemeral port). Returns the fd and stores the bound port in
-/// `*bound_port`. Returns -1 with an explanation in `*error` on failure.
-int CreateListener(const std::string& bind_ip, int port, int* bound_port,
-                   std::string* error);
+/// True when `ip` is an IPv4 address in 127.0.0.0/8; false for any other
+/// address and for a string that does not parse.
+bool IsLoopbackAddress(const std::string& ip);
 
 /// Blocking connect to host:port, retrying until `deadline_wall_seconds`
 /// of wall time elapse (covers the node-starts-before-controller race in

@@ -1,23 +1,15 @@
 #include "telemetry/server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "common/build_info.h"
 #include "common/macros.h"
+#include "net/socket_util.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/prom_export.h"
 
@@ -100,23 +92,6 @@ double NowWall() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void SetNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  CS_CHECK_MSG(flags >= 0, "fcntl(F_GETFL) failed");
-  CS_CHECK_MSG(fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-               "fcntl(F_SETFL, O_NONBLOCK) failed");
-}
-
-std::string HttpResponse(const char* status, const char* content_type,
-                         const std::string& body) {
-  std::ostringstream out;
-  out << "HTTP/1.1 " << status << "\r\nContent-Type: " << content_type
-      << "\r\nContent-Length: " << body.size()
-      << "\r\nConnection: close\r\n\r\n"
-      << body;
-  return out.str();
 }
 
 // The whole dashboard ships inline so GET / works with zero files on disk:
@@ -251,88 +226,44 @@ pollHealth();
 
 }  // namespace
 
-struct TelemetryServer::Client {
-  int fd = -1;
-  std::string in;
-  std::string out;
-  bool streaming = false;
-  bool close_after_flush = false;
-  bool closed = false;
-  uint64_t dropped_rows = 0;
-};
-
 TelemetryServer::TelemetryServer(MetricsRegistry* registry,
                                  TelemetryServerOptions options)
-    : registry_(registry), options_(options) {}
+    : registry_(registry),
+      options_(std::move(options)),
+      reactor_(
+          {.port = options_.port,
+           .bind_address = options_.bind_address,
+           .max_clients = options_.max_clients,
+           .drain_timeout_wall = options_.drain_timeout_wall,
+           .sndbuf_bytes = options_.sndbuf_bytes},
+          [this](uint64_t id, std::string_view unread) {
+            return OnRequestBytes(id, unread);
+          },
+          [this](uint64_t id) {
+            std::lock_guard<std::mutex> lock(mu_);
+            subscribers_.erase(
+                std::remove(subscribers_.begin(), subscribers_.end(), id),
+                subscribers_.end());
+          }) {}
 
 TelemetryServer::~TelemetryServer() { Stop(); }
 
 void TelemetryServer::Start() {
-  CS_CHECK_MSG(!started_.load(), "TelemetryServer::Start called twice");
-
-  listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
-  CS_CHECK_MSG(listen_fd_ >= 0, "telemetry server: socket() failed");
-  const int one = 1;
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  in_addr bound{};
-  CS_CHECK_MSG(
-      inet_pton(AF_INET, options_.bind_address.c_str(), &bound) == 1,
-      "telemetry server: bind address is not a valid IPv4 address");
   // Refuse to expose the server beyond loopback without authentication —
   // an open /metrics + dashboard on a fleet port is an information leak.
-  const bool loopback = (ntohl(bound.s_addr) >> 24) == 127;
-  CS_CHECK_MSG(loopback || !options_.auth_token.empty(),
+  CS_CHECK_MSG(IsLoopbackAddress(options_.bind_address) ||
+                   !options_.auth_token.empty(),
                "telemetry server: non-loopback bind requires an auth token "
                "(set --telemetry-token)");
-  addr.sin_addr = bound;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  CS_CHECK_MSG(bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                    sizeof(addr)) == 0,
-               "telemetry server: cannot bind telemetry address/port");
-  CS_CHECK_MSG(listen(listen_fd_, 16) == 0, "telemetry server: listen failed");
-
-  socklen_t len = sizeof(addr);
-  CS_CHECK_MSG(getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                           &len) == 0,
-               "telemetry server: getsockname failed");
-  port_ = ntohs(addr.sin_port);
-
-  SetNonBlocking(listen_fd_);
-  CS_CHECK_MSG(pipe(wake_pipe_) == 0, "telemetry server: pipe failed");
-  SetNonBlocking(wake_pipe_[0]);
-  SetNonBlocking(wake_pipe_[1]);
-
   if (registry_ != nullptr) {
     published_counter_ = registry_->GetCounter("telemetry.sse.rows_published");
     dropped_counter_ = registry_->GetCounter("telemetry.sse.rows_dropped");
   }
-
   start_wall_ = NowWall();
-  started_.store(true);
-  thread_ = std::thread([this] { Serve(); });
+  reactor_.Start();
 }
 
-void TelemetryServer::Stop() {
-  if (!started_.exchange(false)) return;
-  stop_requested_.store(true);
-  const char b = 'w';
-  [[maybe_unused]] ssize_t n = write(wake_pipe_[1], &b, 1);
-  thread_.join();
-  stop_requested_.store(false);
-
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& c : clients_) {
-    if (!c->closed) CloseClient(c.get());
-  }
-  clients_.clear();
-  close(listen_fd_);
-  close(wake_pipe_[0]);
-  close(wake_pipe_[1]);
-  listen_fd_ = wake_pipe_[0] = wake_pipe_[1] = -1;
-}
+void TelemetryServer::Stop() { reactor_.Stop(); }
 
 void TelemetryServer::SetStatusCallback(std::function<std::string()> cb) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -356,43 +287,35 @@ void TelemetryServer::PublishTimelineRow(const std::string& row_json) {
     std::lock_guard<std::mutex> lock(mu_);
     history_.push_back(row_json);
     while (history_.size() > options_.history_rows) history_.pop_front();
-    for (auto& c : clients_) {
-      if (!c->streaming || c->closed) continue;
-      if (c->out.size() + frame.size() > options_.client_buffer_bytes) {
+    for (uint64_t id : subscribers_) {
+      if (reactor_.Send(id, frame, options_.client_buffer_bytes) ==
+          Reactor::SendResult::kFull) {
         // Never stall the control thread on a stuck socket: the row is
         // gone for this client, and the count makes the gap visible.
-        ++c->dropped_rows;
         rows_dropped_.fetch_add(1, std::memory_order_relaxed);
         if (dropped_counter_ != nullptr) dropped_counter_->Add();
-      } else {
-        c->out += frame;
       }
     }
   }
   rows_published_.fetch_add(1, std::memory_order_relaxed);
   if (published_counter_ != nullptr) published_counter_->Add();
-  const char b = 'w';
-  [[maybe_unused]] ssize_t n = write(wake_pipe_[1], &b, 1);
 }
 
-// Requires mu_ held: the only caller is HandleRequest, which the serve
-// loop invokes under the lock (std::mutex is non-recursive, so locking
-// here again would deadlock).
-std::string TelemetryServer::StatusJson() const {
-  size_t total_clients = 0;
+std::string TelemetryServer::StatusJson() {
   size_t streams = 0;
-  for (const auto& c : clients_) {
-    if (c->closed) continue;
-    ++total_clients;
-    if (c->streaming) ++streams;
+  std::function<std::string()> cb;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    streams = subscribers_.size();
+    cb = status_cb_;
   }
-  const std::function<std::string()>& cb = status_cb_;
   std::ostringstream out;
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.3f", NowWall() - start_wall_);
-  out << "{\"uptime_s\":" << buf << ",\"port\":" << port_
+  out << "{\"uptime_s\":" << buf << ",\"port\":" << port()
       << ",\"build\":" << BuildInfoJson() << ",\"sse\":{"
-      << "\"clients\":" << total_clients << ",\"streams\":" << streams
+      << "\"clients\":" << reactor_.connections()
+      << ",\"streams\":" << streams
       << ",\"clients_accepted\":" << clients_accepted()
       << ",\"rows_published\":" << rows_published()
       << ",\"rows_dropped\":" << rows_dropped() << "},\"app\":"
@@ -400,7 +323,33 @@ std::string TelemetryServer::StatusJson() const {
   return out.str();
 }
 
-void TelemetryServer::HandleRequest(Client* c, const std::string& method,
+void TelemetryServer::Respond(uint64_t conn_id, const char* status,
+                              const char* content_type,
+                              const std::string& body) {
+  std::ostringstream out;
+  out << "HTTP/1.1 " << status << "\r\nContent-Type: " << content_type
+      << "\r\nContent-Length: " << body.size()
+      << "\r\nConnection: close\r\n\r\n"
+      << body;
+  reactor_.Send(conn_id, out.str());
+  reactor_.Close(conn_id, /*after_flush=*/true);
+}
+
+// Replays the history and subscribes under mu_, so a row published
+// meanwhile reaches this subscriber exactly once, after the replay.
+void TelemetryServer::Subscribe(uint64_t conn_id) {
+  std::string replay =
+      "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n"
+      "Cache-Control: no-cache\r\nConnection: keep-alive\r\n\r\n";
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const std::string& row : history_) replay += "data: " + row + "\n\n";
+  if (reactor_.Send(conn_id, replay) != Reactor::SendResult::kGone) {
+    subscribers_.push_back(conn_id);
+  }
+}
+
+void TelemetryServer::HandleRequest(uint64_t conn_id,
+                                    const std::string& method,
                                     const std::string& path) {
   const std::string route = path.substr(0, path.find('?'));
   if (method == "POST" && route == "/debug/dump") {
@@ -415,110 +364,79 @@ void TelemetryServer::HandleRequest(Client* c, const std::string& method,
       body = tmp.str();
     }
     if (body.empty()) {
-      c->out += HttpResponse("503 Service Unavailable", "text/plain",
-                             "flight dump failed\n");
+      Respond(conn_id, "503 Service Unavailable", "text/plain",
+              "flight dump failed\n");
     } else {
-      c->out += HttpResponse("200 OK", "application/json", body);
+      Respond(conn_id, "200 OK", "application/json", body);
     }
-    c->close_after_flush = true;
     return;
   }
   if (method != "GET") {
-    c->out += HttpResponse("405 Method Not Allowed", "text/plain",
-                           "only GET is supported (POST only on "
-                           "/debug/dump)\n");
-    c->close_after_flush = true;
+    Respond(conn_id, "405 Method Not Allowed", "text/plain",
+            "only GET is supported (POST only on /debug/dump)\n");
     return;
   }
   if (route == "/") {
-    c->out += HttpResponse("200 OK", "text/html; charset=utf-8",
-                           kDashboardHtml);
-    c->close_after_flush = true;
+    Respond(conn_id, "200 OK", "text/html; charset=utf-8", kDashboardHtml);
   } else if (route == "/metrics") {
     std::ostringstream body;
     if (registry_ != nullptr) {
       WritePrometheusText(registry_->Snapshot(), body);
     }
-    c->out += HttpResponse(
-        "200 OK", "text/plain; version=0.0.4; charset=utf-8", body.str());
-    c->close_after_flush = true;
+    Respond(conn_id, "200 OK", "text/plain; version=0.0.4; charset=utf-8",
+            body.str());
   } else if (route == "/status") {
-    c->out += HttpResponse("200 OK", "application/json", StatusJson());
-    c->close_after_flush = true;
+    Respond(conn_id, "200 OK", "application/json", StatusJson());
   } else if (route == "/fleet") {
-    const std::function<std::string()>& cb = fleet_cb_;
-    c->out += HttpResponse("200 OK", "application/json",
-                           cb ? cb() : std::string("{\"nodes\":[]}"));
-    c->close_after_flush = true;
+    const auto cb = CallbackCopy(fleet_cb_);
+    Respond(conn_id, "200 OK", "application/json",
+            cb ? cb() : std::string("{\"nodes\":[]}"));
   } else if (route == "/health") {
-    const std::function<std::pair<int, std::string>()>& cb = health_cb_;
+    const auto cb = CallbackCopy(health_cb_);
     if (cb) {
       const std::pair<int, std::string> r = cb();
-      c->out += HttpResponse(
-          r.first == 503 ? "503 Service Unavailable" : "200 OK",
-          "application/json", r.second);
+      Respond(conn_id, r.first == 503 ? "503 Service Unavailable" : "200 OK",
+              "application/json", r.second);
     } else {
-      c->out += HttpResponse(
-          "200 OK", "application/json",
-          "{\"verdict\":\"unknown\",\"reasons\":[],\"warnings\":[]}");
+      Respond(conn_id, "200 OK", "application/json",
+              "{\"verdict\":\"unknown\",\"reasons\":[],\"warnings\":[]}");
     }
-    c->close_after_flush = true;
   } else if (route == "/timeline") {
-    c->out +=
-        "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n"
-        "Cache-Control: no-cache\r\nConnection: keep-alive\r\n\r\n";
-    // Replay before going live so a late subscriber sees the whole run;
-    // caller already holds no ordering guarantee beyond row order, which
-    // the single publisher thread preserves.
-    for (const std::string& row : history_) {
-      c->out += "data: " + row + "\n\n";
-    }
-    c->streaming = true;
+    Subscribe(conn_id);
   } else {
-    c->out += HttpResponse("404 Not Found", "text/plain",
-                           "unknown path; try /, /metrics, /status, "
-                           "/fleet, /health, /timeline\n");
-    c->close_after_flush = true;
+    Respond(conn_id, "404 Not Found", "text/plain",
+            "unknown path; try /, /metrics, /status, /fleet, /health, "
+            "/timeline\n");
   }
 }
 
-void TelemetryServer::HandleReadable(Client* c) {
-  char buf[4096];
-  while (true) {
-    const ssize_t n = recv(c->fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      // A streaming client has nothing more to say; discard its bytes but
-      // keep reading so we notice the hangup.
-      if (!c->streaming) c->in.append(buf, static_cast<size_t>(n));
-      continue;
+// The HTTP protocol: waits for one complete request head, answers it, and
+// consumes everything the peer sent (one request per connection).
+size_t TelemetryServer::OnRequestBytes(uint64_t conn_id,
+                                       std::string_view unread) {
+  {
+    // A subscriber has nothing more to say; its bytes are read only so
+    // the reactor notices the hangup.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (std::find(subscribers_.begin(), subscribers_.end(), conn_id) !=
+        subscribers_.end()) {
+      return unread.size();
     }
-    if (n == 0) {
-      CloseClient(c);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    CloseClient(c);
-    return;
   }
-  if (c->streaming || c->close_after_flush) return;
-  if (c->in.size() > kMaxRequestBytes) {
-    c->out += HttpResponse("431 Request Header Fields Too Large", "text/plain",
-                           "request too large\n");
-    c->close_after_flush = true;
-    return;
+  if (unread.size() > kMaxRequestBytes) {
+    Respond(conn_id, "431 Request Header Fields Too Large", "text/plain",
+            "request too large\n");
+    return unread.size();
   }
-  const size_t end = c->in.find("\r\n\r\n");
-  if (end == std::string::npos) return;
-  const std::string head = c->in.substr(0, end);
-  const size_t line_end = c->in.find("\r\n");
-  std::istringstream req_line(c->in.substr(0, line_end));
+  const size_t end = unread.find("\r\n\r\n");
+  if (end == std::string_view::npos) return 0;
+  const std::string head(unread.substr(0, end));
+  std::istringstream req_line(head.substr(0, head.find("\r\n")));
   std::string method, path;
   req_line >> method >> path;
-  c->in.clear();
   if (method.empty() || path.empty()) {
-    c->out += HttpResponse("400 Bad Request", "text/plain", "bad request\n");
-    c->close_after_flush = true;
-    return;
+    Respond(conn_id, "400 Bad Request", "text/plain", "bad request\n");
+    return unread.size();
   }
   if (!options_.auth_token.empty()) {
     // Evaluate both channels unconditionally so the comparison count does
@@ -528,122 +446,13 @@ void TelemetryServer::HandleReadable(Client* c) {
     const bool query_ok =
         ConstantTimeEquals(QueryToken(path), options_.auth_token);
     if (!header_ok && !query_ok) {
-      c->out += HttpResponse("401 Unauthorized", "text/plain",
-                             "missing or invalid bearer token\n");
-      c->close_after_flush = true;
-      return;
+      Respond(conn_id, "401 Unauthorized", "text/plain",
+              "missing or invalid bearer token\n");
+      return unread.size();
     }
   }
-  HandleRequest(c, method, path);
-}
-
-void TelemetryServer::FlushClient(Client* c) {
-  while (!c->out.empty()) {
-    const ssize_t n =
-        send(c->fd, c->out.data(), c->out.size(), MSG_NOSIGNAL);
-    if (n > 0) {
-      c->out.erase(0, static_cast<size_t>(n));
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    CloseClient(c);
-    return;
-  }
-  if (c->close_after_flush) CloseClient(c);
-}
-
-void TelemetryServer::CloseClient(Client* c) {
-  if (c->closed) return;
-  close(c->fd);
-  c->fd = -1;
-  c->closed = true;
-}
-
-void TelemetryServer::AcceptNew() {
-  while (true) {
-    const int fd = accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;
-    SetNonBlocking(fd);
-    if (options_.sndbuf_bytes > 0) {
-      setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.sndbuf_bytes,
-                 sizeof(options_.sndbuf_bytes));
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t active = 0;
-    for (const auto& c : clients_) {
-      if (!c->closed) ++active;
-    }
-    if (active >= static_cast<size_t>(options_.max_clients)) {
-      close(fd);
-      continue;
-    }
-    clients_accepted_.fetch_add(1, std::memory_order_relaxed);
-    auto client = std::make_unique<Client>();
-    client->fd = fd;
-    clients_.push_back(std::move(client));
-  }
-}
-
-void TelemetryServer::Serve() {
-  bool draining = false;
-  double drain_deadline = 0.0;
-  while (true) {
-    if (stop_requested_.load() && !draining) {
-      draining = true;
-      drain_deadline = NowWall() + options_.drain_timeout_wall;
-    }
-
-    std::vector<pollfd> fds;
-    std::vector<Client*> fd_client;
-    fds.push_back({wake_pipe_[0], POLLIN, 0});
-    if (!draining) fds.push_back({listen_fd_, POLLIN, 0});
-    bool pending_out = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (auto& c : clients_) {
-        if (c->closed) continue;
-        short events = POLLIN;
-        if (!c->out.empty()) {
-          events |= POLLOUT;
-          pending_out = true;
-        }
-        fds.push_back({c->fd, events, 0});
-        fd_client.push_back(c.get());
-      }
-    }
-
-    if (draining && (!pending_out || NowWall() >= drain_deadline)) break;
-
-    poll(fds.data(), fds.size(), draining ? 20 : 500);
-
-    if (fds[0].revents & POLLIN) {
-      char buf[64];
-      while (read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
-      }
-    }
-    const size_t client_base = draining ? 1 : 2;
-    if (!draining && (fds[1].revents & POLLIN)) AcceptNew();
-
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (size_t i = 0; i < fd_client.size(); ++i) {
-        Client* c = fd_client[i];
-        const short re = fds[client_base + i].revents;
-        if (c->closed) continue;
-        if (re & (POLLERR | POLLHUP | POLLNVAL)) {
-          CloseClient(c);
-          continue;
-        }
-        if (re & POLLIN) HandleReadable(c);
-        if (!c->closed && !c->out.empty()) FlushClient(c);
-      }
-      clients_.erase(std::remove_if(clients_.begin(), clients_.end(),
-                                    [](const std::unique_ptr<Client>& c) {
-                                      return c->closed;
-                                    }),
-                     clients_.end());
-    }
-  }
+  HandleRequest(conn_id, method, path);
+  return unread.size();
 }
 
 }  // namespace ctrlshed

@@ -5,13 +5,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "net/reactor.h"
 #include "telemetry/metrics_registry.h"
 
 namespace ctrlshed {
@@ -49,9 +49,10 @@ struct TelemetryServerOptions {
   int sndbuf_bytes = 0;
 };
 
-/// Dependency-free HTTP/1.1 observability server: one poll()-based thread,
-/// nonblocking sockets, loopback by default (non-loopback binds require a
-/// bearer token — see TelemetryServerOptions). Endpoints:
+/// Dependency-free HTTP/1.1 observability server: the HTTP and SSE
+/// protocol over the shared socket Reactor (net/reactor.h), loopback by
+/// default (non-loopback binds require a bearer token — see
+/// TelemetryServerOptions). Endpoints:
 ///
 ///   GET /          embedded HTML dashboard charting the SSE feed live
 ///   GET /metrics   Prometheus text exposition of the MetricsRegistry
@@ -66,9 +67,11 @@ struct TelemetryServerOptions {
 ///   POST /debug/dump  writes a flight-recorder dump (see
 ///                  telemetry/flight_recorder.h) and returns its JSON
 ///
-/// The publisher side (PublishTimelineRow) never blocks on a client: rows
-/// that do not fit a client's bounded buffer are dropped for that client
-/// and counted. Other methods return 405, unknown paths 404.
+/// The publisher (PublishTimelineRow) never waits on a client or on a
+/// handler: rows that do not fit a client's bounded buffer are dropped for
+/// that client and counted, and every request handler, callbacks
+/// included, runs on the serve thread with no server lock held. Other
+/// methods return 405, unknown paths 404.
 class TelemetryServer {
  public:
   /// `registry` backs GET /metrics; may be null (renders empty). The
@@ -91,21 +94,22 @@ class TelemetryServer {
   void Stop();
 
   /// The bound port (resolves port 0 requests). Valid after Start().
-  int port() const { return port_; }
+  int port() const { return reactor_.port(); }
 
   /// Enqueues one timeline row (serialized JSON object, no newline) to
   /// every /timeline subscriber and the replay history. Called from the
-  /// control thread; never blocks on client sockets.
+  /// control thread; never blocks on client sockets or handlers.
   void PublishTimelineRow(const std::string& row_json);
 
   /// Supplies the "app" section of GET /status: a complete JSON value
   /// (object) describing run config / shard summaries / trace counts.
-  /// Called from the server thread; must be thread-safe and non-blocking.
+  /// Called from the server thread with no server lock held; must be
+  /// thread-safe. May be swapped while the server runs.
   void SetStatusCallback(std::function<std::string()> cb);
 
   /// Supplies the GET /fleet body: a complete JSON object describing
   /// cluster membership (per-node q/alpha/loss/freshness). Same contract
-  /// as the status callback: server thread, thread-safe, non-blocking.
+  /// as the status callback.
   void SetFleetCallback(std::function<std::string()> cb);
 
   /// Supplies the GET /health response: HTTP status code plus a complete
@@ -121,44 +125,42 @@ class TelemetryServer {
   uint64_t rows_dropped() const {
     return rows_dropped_.load(std::memory_order_relaxed);
   }
-  uint64_t clients_accepted() const {
-    return clients_accepted_.load(std::memory_order_relaxed);
-  }
+  uint64_t clients_accepted() const { return reactor_.accepted(); }
 
  private:
-  struct Client;
-
-  void Serve();
-  void AcceptNew();
-  void HandleReadable(Client* c);
-  void HandleRequest(Client* c, const std::string& method,
+  size_t OnRequestBytes(uint64_t conn_id, std::string_view unread);
+  void HandleRequest(uint64_t conn_id, const std::string& method,
                      const std::string& path);
-  void FlushClient(Client* c);
-  void CloseClient(Client* c);
-  std::string StatusJson() const;
+  void Subscribe(uint64_t conn_id);
+  void Respond(uint64_t conn_id, const char* status,
+               const char* content_type, const std::string& body);
+  std::string StatusJson();
+  /// A copy of `cb` taken under mu_, so the caller runs it unlocked.
+  template <typename F>
+  F CallbackCopy(const F& cb) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return cb;
+  }
 
   MetricsRegistry* registry_;
   TelemetryServerOptions options_;
-  int port_ = -1;
-  int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
-  std::thread thread_;
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stop_requested_{false};
 
-  mutable std::mutex mu_;  ///< Guards clients_, history_, the callbacks.
-  std::vector<std::unique_ptr<Client>> clients_;
+  /// Guards history_, subscribers_ and the callbacks. Taken before the
+  /// reactor's lock: a replay and the live fan-out are atomic with respect
+  /// to each other, so each row reaches each subscriber once, in order.
+  std::mutex mu_;
   std::deque<std::string> history_;
+  std::vector<uint64_t> subscribers_;  ///< /timeline connections
   std::function<std::string()> status_cb_;
   std::function<std::string()> fleet_cb_;
   std::function<std::pair<int, std::string>()> health_cb_;
 
   std::atomic<uint64_t> rows_published_{0};
   std::atomic<uint64_t> rows_dropped_{0};
-  std::atomic<uint64_t> clients_accepted_{0};
   Counter* published_counter_ = nullptr;
   Counter* dropped_counter_ = nullptr;
   double start_wall_ = 0.0;
+  Reactor reactor_;  // last: its serve thread uses the members above
 };
 
 }  // namespace ctrlshed

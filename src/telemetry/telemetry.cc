@@ -54,16 +54,9 @@ Telemetry::Telemetry(TelemetryOptions options) : options_(std::move(options)) {
     server_opts.sndbuf_bytes = options_.server_sndbuf_bytes;
     server_ = std::make_unique<TelemetryServer>(&metrics_, server_opts);
     server_->Start();
-    // The default status callback already covers trace health; a run can
-    // enrich it with SetStatusSource.
-    server_->SetStatusCallback([this] {
-      std::ostringstream out;
-      out << "{\"trace_events\":" << trace_events()
-          << ",\"trace_dropped\":" << trace_dropped()
-          << ",\"timeline_rows\":" << timeline_rows() << ",\"run\":"
-          << (app_status_ ? app_status_() : std::string("null")) << "}";
-      return out.str();
-    });
+    // The default status already covers trace health; a run can enrich it
+    // with SetStatusSource.
+    SetStatusSource(nullptr);
     sse_sink_ = std::make_unique<SseTimelineSink>(server_.get());
     sinks_.push_back(sse_sink_.get());
     if (options_.on_server_start) options_.on_server_start(server_->port());
@@ -86,9 +79,17 @@ void Telemetry::PublishTimelineRow(const PeriodRecord& row) {
 }
 
 void Telemetry::SetStatusSource(std::function<std::string()> app_status) {
-  // Installed before the run's threads start; the server thread reads it
-  // through the status callback afterwards.
-  app_status_ = std::move(app_status);
+  if (server_ == nullptr) return;
+  // Installed under the server's callback lock (as SetHealthSource is), so
+  // a swap never races a /status request in flight.
+  server_->SetStatusCallback([this, app_status = std::move(app_status)] {
+    std::ostringstream out;
+    out << "{\"trace_events\":" << trace_events()
+        << ",\"trace_dropped\":" << trace_dropped()
+        << ",\"timeline_rows\":" << timeline_rows() << ",\"run\":"
+        << (app_status ? app_status() : std::string("null")) << "}";
+    return out.str();
+  });
 }
 
 void Telemetry::SetHealthSource(std::function<HealthReport()> health) {

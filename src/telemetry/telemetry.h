@@ -101,13 +101,14 @@ class Telemetry {
   }
 
   /// Supplies the "app" JSON value of the server's GET /status (run
-  /// config, shard summaries, …). The callback runs on the server thread;
-  /// it must be thread-safe and non-blocking. No-op without a server.
+  /// config, shard summaries, …). The callback runs on the server thread
+  /// with no server lock held, so it must be thread-safe and may take the
+  /// caller's own locks. May be swapped while the server runs. No-op
+  /// without a server.
   void SetStatusSource(std::function<std::string()> app_status);
 
   /// Serves `health`'s verdict on GET /health (HTTP status and JSON body
-  /// from the report). The source runs on the server thread, so it must
-  /// be thread-safe. No-op without a server.
+  /// from the report). Same contract as SetStatusSource.
   void SetHealthSource(std::function<HealthReport()> health);
 
   /// Joins the exporter, flushes metrics.jsonl, writes trace.json, stops
@@ -141,7 +142,6 @@ class Telemetry {
   std::unique_ptr<SseTimelineSink> sse_sink_;
   std::vector<TimelineSink*> sinks_;
   std::atomic<uint64_t> timeline_rows_{0};
-  std::function<std::string()> app_status_;
 
   std::ofstream metrics_out_;
   // Self-observability: the telemetry system's own loss counters, mirrored

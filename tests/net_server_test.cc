@@ -272,6 +272,48 @@ TEST(FrameServerTest, StopDeliversFramesBufferedWhilePaced) {
   ::close(fd);
 }
 
+TEST(FrameServerTest, PeerThatStopsReadingIsDroppedPastOutBufferCap) {
+  // A peer that never reads lets its pending output grow; past
+  // max_out_buffer the server cuts it loose, and Send fails from then on.
+  std::atomic<uint64_t> conn{0};
+  std::atomic<uint64_t> disconnected{0};
+  FrameServerOptions opts;
+  opts.max_out_buffer = 64 << 10;
+  FrameServer server(opts);
+  server.OnFrame([&conn](uint64_t id, const Frame&) { conn.store(id); });
+  server.OnDisconnect([&disconnected](uint64_t id) { disconnected.store(id); });
+  server.Start();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int rcvbuf = 4096;  // keep the kernel from absorbing megabytes
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(0, ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)))
+      << std::strerror(errno);
+  std::string hello;
+  AppendFrame(FrameType::kHello, "", &hello);
+  SendAll(fd, hello);
+  ASSERT_TRUE(WaitFor([&] { return conn.load() != 0; }));
+  const uint64_t id = conn.load();
+
+  std::string chunk;
+  AppendFrame(FrameType::kActuation, std::string(16 << 10, 'x'), &chunk);
+  // 1000 x 16 KiB is far more than the kernel buffers plus the cap hold.
+  int sent = 0;
+  while (sent < 1000 && server.Send(id, chunk)) ++sent;
+  EXPECT_LT(sent, 1000);
+  EXPECT_FALSE(server.Send(id, chunk));
+  EXPECT_FALSE(server.Send(id, hello));
+  EXPECT_TRUE(WaitFor([&] { return disconnected.load() == id; }));
+
+  ::close(fd);
+  server.Stop();
+}
+
 // --- SIGPIPE regressions ---------------------------------------------------
 // A SIGPIPE anywhere in these tests kills the whole gtest binary, so
 // "completes normally" IS the assertion.

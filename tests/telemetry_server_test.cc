@@ -5,12 +5,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "net/frame_server.h"
 #include "telemetry/prom_export.h"
 #include "telemetry/server.h"
 
@@ -339,6 +344,127 @@ TEST(TelemetryServer, SlowClientDropsRowsWithoutBlockingPublisher) {
   ::close(fd);
   server.Stop();
 }
+
+TEST(TelemetryServer, SlowHandlerDoesNotStallPublisher) {
+  // The publisher never waits on a handler: a /status callback that takes
+  // 500 ms must not hold up PublishTimelineRow, and the row still reaches
+  // the subscriber once the serve thread is free again.
+  MetricsRegistry registry;
+  TelemetryServer server(&registry, {});
+  std::atomic<bool> in_handler{false};
+  server.SetStatusCallback([&in_handler] {
+    in_handler.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    return std::string("{}");
+  });
+  server.Start();
+
+  const int sub = ConnectTo(server.port());
+  SendAll(sub, "GET /timeline HTTP/1.1\r\nHost: x\r\n\r\n");
+  char buf[512];
+  ASSERT_GT(::recv(sub, buf, sizeof(buf), 0), 0);  // subscribed
+
+  std::string status;
+  std::thread scraper([&] { status = Get(server.port(), "/status"); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!in_handler.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(in_handler.load());
+
+  const auto t0 = std::chrono::steady_clock::now();
+  server.PublishTimelineRow("{\"k\":1}");
+  const double publish_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+  EXPECT_LT(publish_s, 0.1);
+
+  const std::string live = ReadFrames(sub, 1);
+  EXPECT_NE(live.find("data: {\"k\":1}\n\n"), std::string::npos);
+  scraper.join();
+  EXPECT_NE(status.find("200 OK"), std::string::npos);
+  ::close(sub);
+  server.Stop();
+}
+
+TEST(TelemetryServer, OversizedRequestHeadGets431) {
+  MetricsRegistry registry;
+  TelemetryServer server(&registry, {});
+  server.Start();
+  const std::string response = Fetch(
+      server.port(), "GET / HTTP/1.1\r\nX-Pad: " + std::string(9000, 'a'));
+  server.Stop();
+  EXPECT_NE(response.find("431"), std::string::npos) << response;
+}
+
+// ---------------------------------------------------------------------------
+// Limits the shared reactor enforces on every listening port.
+
+enum class PortKind { kFrame, kTelemetry };
+
+class ClientCapTest : public ::testing::TestWithParam<PortKind> {};
+
+TEST_P(ClientCapTest, ConnectionPastMaxClientsIsClosedAtOnce) {
+  constexpr int kCap = 2;
+  FrameServerOptions frame_opts;
+  frame_opts.max_clients = kCap;
+  TelemetryServerOptions http_opts;
+  http_opts.max_clients = kCap;
+  MetricsRegistry registry;
+  FrameServer frames(frame_opts);
+  TelemetryServer http(&registry, http_opts);
+  const bool frame = GetParam() == PortKind::kFrame;
+  if (frame) {
+    frames.Start();
+  } else {
+    http.Start();
+  }
+  const int port = frame ? frames.port() : http.port();
+  const std::function<uint64_t()> accepted = [&] {
+    return frame ? frames.connections_accepted() : http.clients_accepted();
+  };
+
+  std::vector<int> held;
+  for (int i = 0; i < kCap; ++i) held.push_back(ConnectTo(port));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (accepted() < kCap && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(accepted(), static_cast<uint64_t>(kCap));
+
+  // The next peer is accepted and closed before it says anything: EOF, not
+  // the 5 s receive timeout.
+  const int extra = ConnectTo(port);
+  const auto t0 = std::chrono::steady_clock::now();
+  char buf[16];
+  EXPECT_EQ(::recv(extra, buf, sizeof(buf), 0), 0);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            2.0);
+  EXPECT_EQ(accepted(), static_cast<uint64_t>(kCap));
+  // The capped peers stay connected.
+  for (int fd : held) {
+    EXPECT_EQ(::recv(fd, buf, sizeof(buf), MSG_DONTWAIT), -1);
+    EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+
+  ::close(extra);
+  for (int fd : held) ::close(fd);
+  frames.Stop();
+  http.Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(ListeningPort, ClientCapTest,
+                         ::testing::Values(PortKind::kFrame,
+                                           PortKind::kTelemetry),
+                         [](const ::testing::TestParamInfo<PortKind>& info) {
+                           return info.param == PortKind::kFrame
+                                      ? "FrameServer"
+                                      : "TelemetryServer";
+                         });
 
 // ---------------------------------------------------------------------------
 // Hardened deployment: auth token, non-loopback refusal, /fleet.

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -348,6 +351,63 @@ TEST(TelemetryTest, TraceOffStillExportsMetrics) {
   EXPECT_EQ(telemetry->trace_events(), 0u);
   EXPECT_FALSE(ReadFile(telemetry->metrics_path()).empty());
   std::filesystem::remove_all(options.dir);
+}
+
+/// One blocking GET against the loopback server; the response up to EOF.
+std::string HttpGet(int port, const std::string& path) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(0, ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                         sizeof(addr)));
+  const std::string req = "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n";
+  EXPECT_EQ(static_cast<ssize_t>(req.size()),
+            ::send(fd, req.data(), req.size(), 0));
+  std::string out;
+  char buf[4096];
+  for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;) {
+    out.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return out;
+}
+
+TEST(TelemetryTest, StatusSourceSwapsWhileServing) {
+  // Every runner installs its status source after Open, while the server
+  // already serves /status; a swap must never race a request in flight
+  // (the TSan legs run this).
+  TelemetryOptions options;
+  options.server_port = 0;
+  std::unique_ptr<Telemetry> telemetry = Telemetry::Open(options);
+  ASSERT_NE(telemetry, nullptr);
+  const int port = telemetry->server()->port();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> served{0};
+  std::thread poller([&] {
+    while (!done.load()) {
+      const std::string r = HttpGet(port, "/status");
+      if (r.find("200 OK") != std::string::npos &&
+          r.find("\"run\":") != std::string::npos) {
+        served.fetch_add(1);
+      }
+    }
+  });
+  for (int i = 0; i < 50; ++i) {
+    telemetry->SetStatusSource(
+        [i] { return "{\"swap\":" + std::to_string(i) + "}"; });
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  done.store(true);
+  poller.join();
+
+  EXPECT_GT(served.load(), 0);
+  EXPECT_NE(HttpGet(port, "/status").find("\"run\":{\"swap\":49}"),
+            std::string::npos);
+  telemetry->Stop();
 }
 
 Recorder MakeRecorder() {
