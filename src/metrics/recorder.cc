@@ -1,67 +1,96 @@
 #include "metrics/recorder.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
-
-#include "common/table_printer.h"
+#include <cstring>
 
 namespace ctrlshed {
 
-void Recorder::Write(std::ostream& out) const {
-  TablePrinter table(out, {"t", "yd", "fin", "admitted", "fout", "q",
-                           "c_ms", "y_hat", "y_meas", "v", "alpha"});
-  table.PrintHeader();
-  for (const PeriodRecord& r : rows_) {
-    table.PrintRow({r.m.t, r.m.target_delay, r.m.fin, r.m.admitted, r.m.fout,
-                    r.m.queue, r.m.cost * 1000.0, r.m.y_hat,
-                    r.m.has_y_measured ? r.m.y_measured : 0.0, r.v, r.alpha});
+namespace {
+
+/// Writes `v` as its CSV cell — the bare JSON token too, except that JSON
+/// quotes a site — into `out` (kMaxValueChars + 1 bytes). Returns the length.
+size_t FormatValue(FieldFormat format, double v, char* out) {
+  if (format == FieldFormat::kSite) {
+    const std::string_view name =
+        ActuationSiteName(static_cast<ActuationSite>(static_cast<uint8_t>(v)));
+    std::memcpy(out, name.data(), name.size());
+    return name.size();
   }
+  const int n = std::snprintf(out, kMaxValueChars + 1,
+                              format == FieldFormat::kInt ? "%.0f" : "%.17g",
+                              v);
+  return std::min(static_cast<size_t>(n), kMaxValueChars);
 }
 
-void Recorder::WriteCsvHeader(std::ostream& out) {
-  out << "k,t,period,yd,fin,fin_forecast,admitted,fout,q,c,y_hat,y_meas,"
-         "e,u,v,alpha,loss,lateness,site,queue_shed\n";
+}  // namespace
+
+PeriodValues ValuesOf(const PeriodRecord& row) {
+  PeriodValues values;
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = kPeriodFields[i].value(row);
+  }
+  return values;
 }
 
-void Recorder::WriteCsvRow(const PeriodRecord& r, std::ostream& out) {
-  char buf[40];
-  const auto field = [&out, &buf](double v, char sep) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out << buf << sep;
+std::string_view FormatPeriodJson(const PeriodValues& values,
+                                  PeriodJsonBuffer* buf) {
+  char* const begin = buf->data();
+  char* p = begin;
+  const auto put = [&p](std::string_view s) {
+    std::memcpy(p, s.data(), s.size());
+    p += s.size();
   };
-  const double e = r.m.target_delay - r.m.y_hat;
-  const double u = r.v - r.m.fout;
-  const double loss =
-      r.m.fin > 0.0 ? std::max(0.0, (r.m.fin - r.m.admitted) / r.m.fin) : 0.0;
-  out << r.m.k << ',';
-  field(r.m.t, ',');
-  field(r.m.period, ',');
-  field(r.m.target_delay, ',');
-  field(r.m.fin, ',');
-  field(r.m.fin_forecast, ',');
-  field(r.m.admitted, ',');
-  field(r.m.fout, ',');
-  field(r.m.queue, ',');
-  field(r.m.cost, ',');
-  field(r.m.y_hat, ',');
-  field(r.m.has_y_measured ? r.m.y_measured
-                           : std::numeric_limits<double>::quiet_NaN(),
-        ',');
-  field(e, ',');
-  field(u, ',');
-  field(r.v, ',');
-  field(r.alpha, ',');
-  field(loss, ',');
-  field(r.lateness, ',');
-  out << ActuationSiteName(r.site) << ',';
-  field(r.queue_shed, '\n');
+  put("{");
+  for (size_t i = 0; i < values.size(); ++i) {
+    const PeriodField& f = kPeriodFields[i];
+    const bool finite = std::isfinite(values[i]);
+    if ((f.surfaces & kJson) == 0 || (!finite && f.nan == NanRule::kOmit)) {
+      continue;
+    }
+    put(p == begin + 1 ? "\"" : ",\"");
+    put(f.name);
+    put("\":");
+    if (!finite) {
+      put("null");
+    } else if (f.format == FieldFormat::kSite) {
+      put("\"");
+      p += FormatValue(f.format, values[i], p);
+      put("\"");
+    } else {
+      p += FormatValue(f.format, values[i], p);
+    }
+  }
+  put("}");
+  return std::string_view(begin, static_cast<size_t>(p - begin));
+}
+
+void WritePeriodCsvHeader(std::ostream& out) {
+  const char* sep = "";
+  for (const PeriodField& f : kPeriodFields) {
+    if ((f.surfaces & kCsv) == 0) continue;
+    out << sep << f.name;
+    sep = ",";
+  }
+  out << '\n';
+}
+
+void WritePeriodCsvRow(const PeriodValues& values, std::ostream& out) {
+  char cell[kMaxValueChars + 1];
+  const char* sep = "";
+  for (size_t i = 0; i < values.size(); ++i) {
+    if ((kPeriodFields[i].surfaces & kCsv) == 0) continue;
+    out << sep;
+    out.write(cell, static_cast<std::streamsize>(
+                        FormatValue(kPeriodFields[i].format, values[i], cell)));
+    sep = ",";
+  }
+  out << '\n';
 }
 
 void Recorder::WriteCsv(std::ostream& out) const {
-  WriteCsvHeader(out);
-  for (const PeriodRecord& r : rows_) WriteCsvRow(r, out);
+  WritePeriodCsvHeader(out);
+  for (const PeriodRecord& r : rows_) WritePeriodCsvRow(ValuesOf(r), out);
 }
 
 }  // namespace ctrlshed

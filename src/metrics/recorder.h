@@ -1,8 +1,14 @@
 #ifndef CTRLSHED_METRICS_RECORDER_H_
 #define CTRLSHED_METRICS_RECORDER_H_
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <limits>
 #include <ostream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -40,6 +46,101 @@ struct PeriodRecord {
   double h_hat = std::numeric_limits<double>::quiet_NaN();
 };
 
+/// How a period field is written: a %.17g double (exact strtod round
+/// trip, locale-independent), an integer, or an ActuationSite name (quoted
+/// in JSON).
+enum class FieldFormat : uint8_t { kNum, kInt, kSite };
+
+/// Which outputs carry a period field (bit set): kCsv is timeline.csv and
+/// trace_out=; kJson is timeline.jsonl, the SSE feed and flight dumps.
+enum FieldSurface : uint8_t { kCsv = 1, kJson = 2 };
+
+/// What JSON does with a non-finite value, which is not JSON: write null,
+/// or leave the field out. The CSV always writes the value (`nan`).
+enum class NanRule : uint8_t { kNull, kOmit };
+
+/// One scalar signal of a control period.
+struct PeriodField {
+  const char* name;
+  double (*value)(const PeriodRecord&);
+  FieldFormat format = FieldFormat::kNum;
+  uint8_t surfaces = kCsv | kJson;
+  NanRule nan = NanRule::kNull;
+};
+
+/// The one schema of a control period, in output order. timeline.csv,
+/// trace_out=, timeline.jsonl, the SSE feed and flight dumps all walk it,
+/// so a new signal is one line here. Sharded runs append `shards` and
+/// `shard_q` to the JSON timeline row (Telemetry::PublishTimelineRow).
+inline constexpr PeriodField kPeriodFields[] = {
+    {"k", [](const PeriodRecord& r) { return double(r.m.k); },
+     FieldFormat::kInt},
+    {"t", [](const PeriodRecord& r) { return r.m.t; }},
+    {"period", [](const PeriodRecord& r) { return r.m.period; },
+     FieldFormat::kNum, kCsv},
+    {"yd", [](const PeriodRecord& r) { return r.m.target_delay; }},
+    {"fin", [](const PeriodRecord& r) { return r.m.fin; }},
+    {"fin_forecast", [](const PeriodRecord& r) { return r.m.fin_forecast; }},
+    {"admitted", [](const PeriodRecord& r) { return r.m.admitted; }},
+    {"fout", [](const PeriodRecord& r) { return r.m.fout; }},
+    {"q", [](const PeriodRecord& r) { return r.m.queue; }},
+    {"c", [](const PeriodRecord& r) { return r.m.cost; }},
+    {"y_hat", [](const PeriodRecord& r) { return r.m.y_hat; }},
+    // NaN (`nan`, null) in a period with no departures.
+    {"y_meas",
+     [](const PeriodRecord& r) {
+       return r.m.has_y_measured ? r.m.y_measured
+                                 : std::numeric_limits<double>::quiet_NaN();
+     }},
+    // Tracking error e = yd - y_hat.
+    {"e", [](const PeriodRecord& r) { return r.m.target_delay - r.m.y_hat; }},
+    // Queue-growth command u = v - fout (Eq. 10).
+    {"u", [](const PeriodRecord& r) { return r.v - r.m.fout; }},
+    {"v", [](const PeriodRecord& r) { return r.v; }},
+    {"alpha", [](const PeriodRecord& r) { return r.alpha; }},
+    // Per-period loss (fin - admitted)/fin, clamped at 0.
+    {"loss",
+     [](const PeriodRecord& r) {
+       return r.m.fin > 0.0 ? std::max(0.0, (r.m.fin - r.m.admitted) / r.m.fin)
+                            : 0.0;
+     }},
+    {"lateness", [](const PeriodRecord& r) { return r.lateness; }},
+    {"site", [](const PeriodRecord& r) { return double(r.site); },
+     FieldFormat::kSite},
+    {"queue_shed", [](const PeriodRecord& r) { return r.queue_shed; }},
+    {"h_hat", [](const PeriodRecord& r) { return r.h_hat; }, FieldFormat::kNum,
+     kJson, NanRule::kOmit},
+};
+
+/// The scalar values of one period, in kPeriodFields order.
+using PeriodValues = std::array<double, std::size(kPeriodFields)>;
+PeriodValues ValuesOf(const PeriodRecord& row);
+
+/// Widest formatted value: %.17g of a negative subnormal,
+/// "-1.2345678901234567e-308".
+inline constexpr size_t kMaxValueChars = 24;
+
+/// Room for any FormatPeriodJson output: per field `,"name":` and the
+/// widest value, plus the braces and snprintf's terminator.
+inline constexpr size_t kPeriodJsonMax = [] {
+  size_t n = 3;
+  for (const PeriodField& f : kPeriodFields) {
+    n += std::string_view(f.name).size() + 4 + kMaxValueChars;
+  }
+  return n;
+}();
+using PeriodJsonBuffer = std::array<char, kPeriodJsonMax>;
+
+/// Formats one period as a single-line JSON object (no newline) into `buf`
+/// and returns it. Allocation-free and async-signal-safe up to snprintf,
+/// so the flight dump formats its periods with it too.
+std::string_view FormatPeriodJson(const PeriodValues& values,
+                                  PeriodJsonBuffer* buf);
+
+/// timeline.csv: one header line, then one line per period.
+void WritePeriodCsvHeader(std::ostream& out);
+void WritePeriodCsvRow(const PeriodValues& values, std::ostream& out);
+
 /// Collects the per-period trace of an experiment; feeds the transient
 /// plots (Figs. 15, 16, 18), the telemetry timeline export, and debugging.
 class Recorder {
@@ -49,22 +150,9 @@ class Recorder {
   const std::vector<PeriodRecord>& rows() const { return rows_; }
   bool empty() const { return rows_.empty(); }
 
-  /// Writes a whitespace-separated table with a header row.
-  void Write(std::ostream& out) const;
-
-  /// Machine-readable variant: comma-separated, locale-independent %.17g
-  /// doubles (exact round-trip through strtod), one header row. Adds the
-  /// derived control signals the table omits: the tracking error
-  /// e = yd - y_hat, the queue-growth command u = v - fout (Eq. 10), the
-  /// per-period loss (fin - admitted)/fin, and the actuation lateness.
-  /// y_meas is `nan` for periods with no departures.
+  /// Writes every row as timeline.csv does: header, then one line per
+  /// period.
   void WriteCsv(std::ostream& out) const;
-
-  /// Header + single-row pieces of WriteCsv, exposed so streaming sinks
-  /// (the telemetry FileTimelineSink) produce byte-identical CSV while
-  /// writing row by row instead of from a finished recorder.
-  static void WriteCsvHeader(std::ostream& out);
-  static void WriteCsvRow(const PeriodRecord& row, std::ostream& out);
 
  private:
   std::vector<PeriodRecord> rows_;

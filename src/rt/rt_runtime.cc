@@ -217,8 +217,8 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
   result.interrupted = StopRequested(config.stop);
 
   // Telemetry epilogue: every thread has joined, so a final drain sees
-  // everything. The timeline files were streamed row by row through the
-  // loop's TimelineSink path (complete even on an interrupted run).
+  // everything. The loop published the timeline files row by row
+  // (complete even on an interrupted run).
   if (telemetry) {
     if (telemetry->server() != nullptr) {
       result.telemetry_port = telemetry->server()->port();

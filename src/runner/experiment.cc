@@ -210,8 +210,8 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     reg->GetCounter("sim.departures")->Add(result.summary.departures);
     reg->GetGauge("sim.loss_ratio")->Set(result.summary.loss_ratio);
     reg->GetGauge("sim.mean_delay")->Set(result.summary.mean_delay);
-    // timeline.csv / timeline.jsonl were streamed row-by-row through the
-    // loop's TimelineSink path; nothing left to export here.
+    // The loop published timeline.csv / timeline.jsonl row by row;
+    // nothing left to export here.
     telemetry->Stop();
   }
   return result;

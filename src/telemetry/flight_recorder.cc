@@ -4,12 +4,13 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
 
 #include "common/build_info.h"
 #include "common/macros.h"
-#include "control/actuation_plan.h"
 
 namespace ctrlshed {
 
@@ -22,7 +23,7 @@ namespace {
 constexpr size_t kMaxRecorders = 16;
 std::atomic<FlightRecorder*> g_recorders[kMaxRecorders];
 
-char g_dump_path[512] = "ctrlshed.flightdump.json";
+char g_dump_path[PATH_MAX] = "ctrlshed.flightdump.json";
 
 // Fatal paths (CS_CHECK, SIGSEGV, SIGABRT) dump at most once per
 // process so a CS_CHECK-triggered abort does not overwrite its own dump
@@ -39,8 +40,8 @@ class DumpWriter {
   explicit DumpWriter(int fd) : fd_(fd) {}
   ~DumpWriter() { Flush(); }
 
-  void Str(const char* s) {
-    while (*s != '\0') Char(*s++);
+  void Str(std::string_view s) {
+    for (const char c : s) Char(c);
   }
 
   void Char(char c) {
@@ -74,12 +75,6 @@ class DumpWriter {
     for (int i = 0; i < n; ++i) Char(tmp[i]);
   }
 
-  void Num(int v) {
-    char tmp[16];
-    const int n = std::snprintf(tmp, sizeof(tmp), "%d", v);
-    for (int i = 0; i < n; ++i) Char(tmp[i]);
-  }
-
   void Flush() {
     size_t off = 0;
     while (off < len_) {
@@ -102,42 +97,6 @@ class DumpWriter {
   bool ok_ = true;
 };
 
-void WritePeriod(DumpWriter& w, const FlightPeriod& p) {
-  w.Str("{\"k\":");
-  w.Num(p.k);
-  w.Str(",\"t\":");
-  w.Num(p.t);
-  w.Str(",\"yd\":");
-  w.Num(p.yd);
-  w.Str(",\"fin\":");
-  w.Num(p.fin);
-  w.Str(",\"admitted\":");
-  w.Num(p.admitted);
-  w.Str(",\"fout\":");
-  w.Num(p.fout);
-  w.Str(",\"q\":");
-  w.Num(p.queue);
-  w.Str(",\"c\":");
-  w.Num(p.cost);
-  w.Str(",\"y_hat\":");
-  w.Num(p.y_hat);
-  w.Str(",\"v\":");
-  w.Num(p.v);
-  w.Str(",\"alpha\":");
-  w.Num(p.alpha);
-  w.Str(",\"lateness\":");
-  w.Num(p.lateness);
-  w.Str(",\"queue_shed\":");
-  w.Num(p.queue_shed);
-  if (p.h_hat == p.h_hat) {  // NaN-free only; NaN is not valid JSON.
-    w.Str(",\"h_hat\":");
-    w.Num(p.h_hat);
-  }
-  w.Str(",\"site\":\"");
-  w.Str(ActuationSiteName(static_cast<ActuationSite>(p.site)).data());
-  w.Str("\"}");
-}
-
 void WriteEvent(DumpWriter& w, const FlightEvent& e) {
   w.Str("{\"t\":");
   w.Num(e.t);
@@ -148,36 +107,15 @@ void WriteEvent(DumpWriter& w, const FlightEvent& e) {
   w.Str("\"}");
 }
 
-void WriteRecorder(DumpWriter& w, const FlightRecorder& r,
-                   const FlightPeriod* periods, const FlightEvent* events,
-                   uint64_t period_cursor, uint64_t event_cursor) {
-  w.Str("{\"name\":\"");
-  w.Escaped(r.name(), 32);
-  w.Str("\",\"periods_recorded\":");
-  w.Num(period_cursor);
-  w.Str(",\"events_recorded\":");
-  w.Num(event_cursor);
-  w.Str(",\"periods\":[");
-  const uint64_t pn =
-      period_cursor < FlightRecorder::kPeriodCapacity
-          ? period_cursor
-          : static_cast<uint64_t>(FlightRecorder::kPeriodCapacity);
-  for (uint64_t i = 0; i < pn; ++i) {
+/// Writes a ring's last min(N, cursor) entries, oldest first.
+template <typename T, size_t N, typename WriteOne>
+void WriteRing(DumpWriter& w, const T (&ring)[N], uint64_t cursor,
+               WriteOne write_one) {
+  const uint64_t n = cursor < N ? cursor : N;
+  for (uint64_t i = 0; i < n; ++i) {
     if (i > 0) w.Char(',');
-    WritePeriod(w, periods[(period_cursor - pn + i) %
-                           FlightRecorder::kPeriodCapacity]);
+    write_one(w, ring[(cursor - n + i) % N]);
   }
-  w.Str("],\"events\":[");
-  const uint64_t en =
-      event_cursor < FlightRecorder::kEventCapacity
-          ? event_cursor
-          : static_cast<uint64_t>(FlightRecorder::kEventCapacity);
-  for (uint64_t i = 0; i < en; ++i) {
-    if (i > 0) w.Char(',');
-    WriteEvent(w,
-               events[(event_cursor - en + i) % FlightRecorder::kEventCapacity]);
-  }
-  w.Str("]}");
 }
 
 void FatalCheckHook(const char* expr, const char* file, int line,
@@ -233,22 +171,7 @@ FlightRecorder::~FlightRecorder() {
 
 void FlightRecorder::RecordPeriod(const PeriodRecord& row) {
   const uint64_t cursor = period_cursor_.load(std::memory_order_relaxed);
-  FlightPeriod& p = periods_[cursor % kPeriodCapacity];
-  p.k = row.m.k;
-  p.t = row.m.t;
-  p.yd = row.m.target_delay;
-  p.fin = row.m.fin;
-  p.admitted = row.m.admitted;
-  p.fout = row.m.fout;
-  p.queue = row.m.queue;
-  p.cost = row.m.cost;
-  p.y_hat = row.m.y_hat;
-  p.v = row.v;
-  p.alpha = row.alpha;
-  p.lateness = row.lateness;
-  p.queue_shed = row.queue_shed;
-  p.h_hat = row.h_hat;
-  p.site = static_cast<uint8_t>(row.site);
+  periods_[cursor % kPeriodCapacity] = ValuesOf(row);
   period_cursor_.store(cursor + 1, std::memory_order_release);
 }
 
@@ -313,9 +236,23 @@ bool WriteFlightDump(const char* reason, const char* detail) {
     if (r == nullptr) continue;
     if (!first) w.Char(',');
     first = false;
-    WriteRecorder(w, *r, r->periods_, r->events_,
-                  r->period_cursor_.load(std::memory_order_acquire),
-                  r->event_cursor_.load(std::memory_order_acquire));
+    const uint64_t periods = r->period_cursor_.load(std::memory_order_acquire);
+    const uint64_t events = r->event_cursor_.load(std::memory_order_acquire);
+    w.Str("{\"name\":\"");
+    w.Escaped(r->name_, sizeof(r->name_));
+    w.Str("\",\"periods_recorded\":");
+    w.Num(periods);
+    w.Str(",\"events_recorded\":");
+    w.Num(events);
+    w.Str(",\"periods\":[");
+    WriteRing(w, r->periods_, periods,
+              [](DumpWriter& out, const PeriodValues& period) {
+                PeriodJsonBuffer buf;
+                out.Str(FormatPeriodJson(period, &buf));
+              });
+    w.Str("],\"events\":[");
+    WriteRing(w, r->events_, events, WriteEvent);
+    w.Str("]}");
   }
   w.Str("]}\n");
   w.Flush();

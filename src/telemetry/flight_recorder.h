@@ -10,26 +10,6 @@
 
 namespace ctrlshed {
 
-/// Trivially-copyable snapshot of one control period, sized for a
-/// preallocated ring the crash path can walk without allocating.
-struct FlightPeriod {
-  uint64_t k = 0;
-  double t = 0.0;
-  double yd = 0.0;
-  double fin = 0.0;
-  double admitted = 0.0;
-  double fout = 0.0;
-  double queue = 0.0;
-  double cost = 0.0;
-  double y_hat = 0.0;
-  double v = 0.0;
-  double alpha = 0.0;
-  double lateness = 0.0;
-  double queue_shed = 0.0;
-  double h_hat = 0.0;      ///< Measured headroom; NaN when not estimated.
-  uint8_t site = 0;        ///< ActuationSite as an integer.
-};
-
 /// One annotated event: config changes, actuation-site switches, node
 /// join/stale/readmit, decode rejects. Fixed-size strings so the crash
 /// dump never touches the heap.
@@ -45,7 +25,10 @@ struct FlightEvent {
 /// recorder in a process-global slot table; a flight dump — triggered by
 /// a CS_CHECK failure (fatal hook), SIGSEGV/SIGABRT, SIGUSR1, or
 /// `POST /debug/dump` — walks every registered recorder and writes their
-/// rings as JSON with plain write() calls, no allocation.
+/// rings as JSON with plain write() calls, no allocation. The ring keeps
+/// each period's scalar values (ValuesOf), and the dump formats them with
+/// the timeline's FormatPeriodJson, so a dumped period is its
+/// timeline.jsonl row without the shard fields.
 ///
 /// Threading: RecordPeriod has a single writer (the owning control
 /// thread). RecordEvent may be called from any thread (slots are claimed
@@ -63,7 +46,8 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Appends one finished period (owning control thread only).
+  /// Appends one finished period (owning control thread only). Allocates
+  /// nothing.
   void RecordPeriod(const PeriodRecord& row);
 
   /// Appends one annotated event (any thread). Strings are truncated to
@@ -82,7 +66,7 @@ class FlightRecorder {
   friend bool WriteFlightDump(const char* reason, const char* detail);
 
   char name_[32] = {};
-  FlightPeriod periods_[kPeriodCapacity];
+  PeriodValues periods_[kPeriodCapacity];
   FlightEvent events_[kEventCapacity];
   std::atomic<uint64_t> period_cursor_{0};
   std::atomic<uint64_t> event_cursor_{0};
@@ -90,8 +74,8 @@ class FlightRecorder {
 
 /// Sets where flight dumps are written (default
 /// "ctrlshed.flightdump.json" in the working directory). The path is
-/// copied into static storage so signal handlers can reach it; paths
-/// longer than 511 bytes are rejected (returns false).
+/// copied into static storage so signal handlers can reach it; empty
+/// paths and paths of PATH_MAX bytes or more are rejected (returns false).
 bool SetFlightDumpPath(const std::string& path);
 std::string FlightDumpPath();
 

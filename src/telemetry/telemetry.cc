@@ -1,12 +1,13 @@
 #include "telemetry/telemetry.h"
 
+#include <cstdio>
 #include <filesystem>
 #include <sstream>
 #include <utility>
 
 #include "common/macros.h"
 #include "telemetry/flight_recorder.h"
-#include "telemetry/sse_sink.h"
+#include "telemetry/timeline.h"
 
 namespace ctrlshed {
 
@@ -21,7 +22,8 @@ std::unique_ptr<Telemetry> Telemetry::Open(const TelemetryOptions& options) {
     std::error_code ec;
     std::filesystem::create_directories(options.dir, ec);
     CS_CHECK_MSG(!ec, "cannot create telemetry directory");
-    SetFlightDumpPath(options.dir + "/ctrlshed.flightdump.json");
+    CS_CHECK_MSG(SetFlightDumpPath(options.dir + "/ctrlshed.flightdump.json"),
+                 "telemetry directory path too long for flight dumps");
   }
   return std::unique_ptr<Telemetry>(new Telemetry(options));
 }
@@ -41,8 +43,12 @@ Telemetry::Telemetry(TelemetryOptions options) : options_(std::move(options)) {
         metrics_.GetCounter("telemetry.export.write_failures");
     metrics_out_.open(metrics_path());
     CS_CHECK_MSG(metrics_out_.good(), "cannot open metrics.jsonl");
-    file_sink_ = std::make_unique<FileTimelineSink>(options_.dir);
-    sinks_.push_back(file_sink_.get());
+    timeline_csv_.open(TimelineCsvPath(options_.dir));
+    CS_CHECK_MSG(timeline_csv_.good(), "cannot open timeline.csv");
+    timeline_jsonl_.open(TimelineJsonlPath(options_.dir));
+    CS_CHECK_MSG(timeline_jsonl_.good(), "cannot open timeline.jsonl");
+    WritePeriodCsvHeader(timeline_csv_);
+    timeline_csv_.flush();
   }
   if (options_.server_port >= 0) {
     TelemetryServerOptions server_opts;
@@ -57,8 +63,6 @@ Telemetry::Telemetry(TelemetryOptions options) : options_(std::move(options)) {
     // The default status already covers trace health; a run can enrich it
     // with SetStatusSource.
     SetStatusSource(nullptr);
-    sse_sink_ = std::make_unique<SseTimelineSink>(server_.get());
-    sinks_.push_back(sse_sink_.get());
     if (options_.on_server_start) options_.on_server_start(server_->port());
   }
   start_wall_ = std::chrono::steady_clock::now();
@@ -74,7 +78,30 @@ TraceBuffer* Telemetry::RegisterThread(const std::string& name) {
 }
 
 void Telemetry::PublishTimelineRow(const PeriodRecord& row) {
-  for (TimelineSink* sink : sinks_) sink->Publish(row);
+  const PeriodValues values = ValuesOf(row);
+  PeriodJsonBuffer buf;
+  std::string json(FormatPeriodJson(values, &buf));
+  // Sharded runs decompose the aggregate queue; unsharded rows carry no
+  // shard data and keep the historical schema.
+  if (!row.shard_q.empty()) {
+    json.pop_back();  // the closing brace
+    json += ",\"shards\":" + std::to_string(row.shard_q.size()) +
+            ",\"shard_q\":[";
+    char num[kMaxValueChars + 2];
+    for (size_t i = 0; i < row.shard_q.size(); ++i) {
+      std::snprintf(num, sizeof(num), i == 0 ? "%.17g" : ",%.17g",
+                    row.shard_q[i]);
+      json += num;
+    }
+    json += "]}";
+  }
+  if (timeline_csv_.is_open()) {
+    WritePeriodCsvRow(values, timeline_csv_);
+    timeline_csv_.flush();
+    timeline_jsonl_ << json << '\n';
+    timeline_jsonl_.flush();
+  }
+  if (server_) server_->PublishTimelineRow(json);
   timeline_rows_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -9,18 +9,14 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "metrics/recorder.h"
 #include "telemetry/health.h"
 #include "telemetry/metrics_registry.h"
 #include "telemetry/server.h"
-#include "telemetry/timeline.h"
 #include "telemetry/tracer.h"
 
 namespace ctrlshed {
-
-class SseTimelineSink;
 
 /// What to collect and where to put it. With an empty `dir` AND a negative
 /// `server_port`, telemetry is off entirely: Telemetry::Open returns null
@@ -61,10 +57,10 @@ struct TelemetryOptions {
 /// trace to <dir>/trace.json, and shuts the server down.
 ///
 /// The control-loop timeline flows through PublishTimelineRow: one call
-/// per finished period fans out to every registered TimelineSink — the
-/// streaming file sink (timeline.csv / timeline.jsonl, flushed per row)
-/// and the SSE sink feeding GET /timeline. One serializer, so the live
-/// stream and the files carry identical rows.
+/// per finished period formats the row once (the kPeriodFields schema)
+/// and writes it to timeline.csv and timeline.jsonl, flushed per row, and
+/// to GET /timeline subscribers, so the live stream and the files carry
+/// identical rows.
 ///
 /// Thread-safety: RegisterThread/metrics() may be called from any thread;
 /// each TraceBuffer is single-producer as documented on the tracer;
@@ -91,8 +87,8 @@ class Telemetry {
   Tracer* tracer() { return tracer_.get(); }  ///< Null when trace is off.
   TelemetryServer* server() { return server_.get(); }  ///< Null when off.
 
-  /// Publishes one finished control period to every timeline sink (files
-  /// and SSE subscribers). Control thread only.
+  /// Publishes one finished control period to timeline.csv,
+  /// timeline.jsonl and the SSE subscribers. Control thread only.
   void PublishTimelineRow(const PeriodRecord& row);
 
   /// Rows published through PublishTimelineRow so far.
@@ -138,9 +134,8 @@ class Telemetry {
   MetricsRegistry metrics_;
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<TelemetryServer> server_;
-  std::unique_ptr<FileTimelineSink> file_sink_;
-  std::unique_ptr<SseTimelineSink> sse_sink_;
-  std::vector<TimelineSink*> sinks_;
+  std::ofstream timeline_csv_;
+  std::ofstream timeline_jsonl_;
   std::atomic<uint64_t> timeline_rows_{0};
 
   std::ofstream metrics_out_;

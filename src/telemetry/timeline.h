@@ -1,69 +1,19 @@
 #ifndef CTRLSHED_TELEMETRY_TIMELINE_H_
 #define CTRLSHED_TELEMETRY_TIMELINE_H_
 
-#include <cstddef>
-#include <cstdint>
-#include <fstream>
-#include <ostream>
+#include <filesystem>
 #include <string>
-
-#include "metrics/recorder.h"
 
 namespace ctrlshed {
 
-/// Serializes one period row as a single-line JSON object (no trailing
-/// newline): {"k":…,"t":…,"yd":…,…,"lateness":…[,"shards":N,"shard_q":[…]]}.
-/// This is THE timeline wire format — the JSONL file writer and the SSE
-/// stream both call it, which is what makes the live feed byte-identical
-/// to timeline.jsonl on disk.
-std::string TimelineRowJson(const PeriodRecord& row);
-
-/// A per-period consumer of the control-loop timeline. Both runtimes push
-/// each finished PeriodRecord through every registered sink, so files and
-/// sockets see the same rows through one path. Publish is called from the
-/// single control thread only; implementations need not be thread-safe
-/// against concurrent Publish calls but must not block it for long.
-class TimelineSink {
- public:
-  virtual ~TimelineSink() = default;
-  virtual void Publish(const PeriodRecord& row) = 0;
-};
-
-/// Streams the timeline into `dir` as both timeline.csv (header written at
-/// construction) and timeline.jsonl, flushing after every row so the files
-/// are complete up to the last finished period even if the process is
-/// interrupted. Aborts if the files cannot be created (the directory must
-/// already exist — Telemetry::Open creates it).
-class FileTimelineSink : public TimelineSink {
- public:
-  explicit FileTimelineSink(const std::string& dir);
-
-  void Publish(const PeriodRecord& row) override;
-
-  uint64_t rows_written() const { return rows_written_; }
-
- private:
-  std::ofstream csv_;
-  std::ofstream jsonl_;
-  uint64_t rows_written_ = 0;
-};
-
-/// JSONL twin of Recorder::WriteCsv: one JSON object per control period
-/// with the same fields (k, t, yd, q, y_hat, e, u, v, alpha, loss,
-/// lateness, …). `y_meas` is null for periods with no departures.
-void WriteTimelineJsonl(const Recorder& recorder, std::ostream& out);
-
-/// Writes the control-loop timeline into `dir` as both timeline.csv
-/// (Recorder::WriteCsv) and timeline.jsonl. Returns the number of period
-/// rows written. Aborts if the files cannot be created (the directory
-/// must already exist — Telemetry::Open creates it). The runtimes stream
-/// through FileTimelineSink instead; this one-shot form serves tests and
-/// offline re-export.
-size_t WriteControlTimeline(const Recorder& recorder, const std::string& dir);
-
-/// Paths the timeline export uses inside `dir`.
-std::string TimelineCsvPath(const std::string& dir);
-std::string TimelineJsonlPath(const std::string& dir);
+/// Paths of the control-loop timeline inside a telemetry `dir`. Telemetry
+/// writes both files, a row per period (Telemetry::PublishTimelineRow).
+inline std::string TimelineCsvPath(const std::string& dir) {
+  return (std::filesystem::path(dir) / "timeline.csv").string();
+}
+inline std::string TimelineJsonlPath(const std::string& dir) {
+  return (std::filesystem::path(dir) / "timeline.jsonl").string();
+}
 
 }  // namespace ctrlshed
 

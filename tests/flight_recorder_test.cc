@@ -1,5 +1,6 @@
 #include "telemetry/flight_recorder.h"
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -135,7 +136,7 @@ TEST(FlightRecorderTest, DumpCarriesReasonDetailAndBuild) {
 }
 
 TEST(FlightRecorderTest, RejectsOverlongDumpPath) {
-  EXPECT_FALSE(SetFlightDumpPath(std::string(600, 'x')));
+  EXPECT_FALSE(SetFlightDumpPath(std::string(PATH_MAX, 'x')));
   EXPECT_FALSE(SetFlightDumpPath(""));
 }
 

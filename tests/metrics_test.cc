@@ -83,27 +83,14 @@ TEST(RecorderTest, StoresRowsInOrder) {
   EXPECT_DOUBLE_EQ(r.rows()[1].alpha, 0.2);
 }
 
-TEST(RecorderTest, WriteProducesHeaderAndRows) {
-  Recorder r;
-  PeriodMeasurement m;
-  m.t = 1.0;
-  m.cost = 0.005;
-  m.y_hat = 1.25;
-  r.Record(PeriodRecord{m, 50.0, 0.0});
-  std::ostringstream out;
-  r.Write(out);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("y_hat"), std::string::npos);
-  EXPECT_NE(text.find("1.2500"), std::string::npos);
-  EXPECT_NE(text.find("5.0000"), std::string::npos);  // cost in ms
-}
-
 TEST(RecorderTest, EmptyRecorder) {
   Recorder r;
   EXPECT_TRUE(r.empty());
   std::ostringstream out;
-  r.Write(out);
-  EXPECT_FALSE(out.str().empty());  // header only
+  r.WriteCsv(out);
+  // Header only: one line.
+  EXPECT_FALSE(out.str().empty());
+  EXPECT_EQ(out.str().find('\n'), out.str().size() - 1);
 }
 
 std::vector<std::string> SplitCsvLine(const std::string& line) {

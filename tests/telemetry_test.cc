@@ -8,16 +8,22 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <climits>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "metrics/recorder.h"
+#include "telemetry/flight_recorder.h"
 #include "telemetry/metrics_registry.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/timeline.h"
@@ -436,40 +442,352 @@ Recorder MakeRecorder() {
 
 TEST(TimelineTest, JsonlRowsAreWellFormedAndCarryControlSignals) {
   const Recorder r = MakeRecorder();
-  std::ostringstream out;
-  WriteTimelineJsonl(r, out);
-  std::istringstream lines(out.str());
-  std::string line;
+  std::string text;
   int n = 0;
-  while (std::getline(lines, line)) {
+  for (const PeriodRecord& row : r.rows()) {
+    PeriodJsonBuffer buf;
+    const std::string line(FormatPeriodJson(ValuesOf(row), &buf));
     JsonChecker checker(line);
     EXPECT_TRUE(checker.Valid()) << line;
     for (const char* key : {"\"k\"", "\"q\"", "\"y_hat\"", "\"e\"", "\"u\"",
                             "\"v\"", "\"alpha\"", "\"loss\"", "\"lateness\""}) {
       EXPECT_NE(line.find(key), std::string::npos) << key << " in " << line;
     }
+    text += line + "\n";
     ++n;
   }
   EXPECT_EQ(n, 2);
   // Derived signals of row 1: e = yd - y_hat = 0.25; u = v - fout = 10.
-  const std::string text = out.str();
   EXPECT_NE(text.find("\"e\":0.25"), std::string::npos) << text;
   EXPECT_NE(text.find("\"u\":10"), std::string::npos) << text;
   // Row 2 has no departures: y_meas must be JSON null.
   EXPECT_NE(text.find("\"y_meas\":null"), std::string::npos) << text;
 }
 
+/// Publishes `rows` through a file-only Telemetry session in `dir`.
+void PublishTimeline(const std::vector<PeriodRecord>& rows,
+                     const std::string& dir) {
+  TelemetryOptions options;
+  options.dir = dir;
+  options.trace = false;
+  std::unique_ptr<Telemetry> telemetry = Telemetry::Open(options);
+  ASSERT_NE(telemetry, nullptr);
+  for (const PeriodRecord& row : rows) telemetry->PublishTimelineRow(row);
+  telemetry->Stop();
+  EXPECT_EQ(telemetry->timeline_rows(), rows.size());
+}
+
 TEST(TimelineTest, WriteControlTimelineProducesBothFiles) {
   const Recorder r = MakeRecorder();
   const std::string dir = TempDir("timeline");
-  std::filesystem::create_directories(dir);
-  EXPECT_EQ(WriteControlTimeline(r, dir), 2u);
+  PublishTimeline(r.rows(), dir);
   const std::string csv = ReadFile(TimelineCsvPath(dir));
   EXPECT_NE(csv.find("k,t,"), std::string::npos);
   EXPECT_NE(csv.find("lateness"), std::string::npos);
   const std::string jsonl = ReadFile(TimelineJsonlPath(dir));
   EXPECT_NE(jsonl.find("\"y_hat\""), std::string::npos);
   std::filesystem::remove_all(dir);
+}
+
+TEST(TelemetryTest, FlightDumpLandsInALongTelemetryDir) {
+  // About 600 bytes: past the 512-byte dump path the recorder once held,
+  // well inside PATH_MAX.
+  const std::string root = TempDir("longdir");
+  std::string dir = root;
+  while (dir.size() < 600) dir += "/" + std::string(100, 'd');
+  TelemetryOptions options;
+  options.dir = dir;
+  options.trace = false;
+  std::unique_ptr<Telemetry> telemetry = Telemetry::Open(options);
+  ASSERT_NE(telemetry, nullptr);
+  const std::string dump = dir + "/ctrlshed.flightdump.json";
+  EXPECT_EQ(FlightDumpPath(), dump);
+  ASSERT_TRUE(WriteFlightDump("request", "unit test"));
+  EXPECT_TRUE(std::filesystem::exists(dump));
+  telemetry->Stop();
+  std::filesystem::remove_all(root);
+}
+
+// ---- The period schema (kPeriodFields) -----------------------------------
+
+/// y_meas set, h_hat finite, split site, three shards.
+PeriodRecord PinnedRecord() {
+  PeriodRecord r;
+  r.m.k = 7;
+  r.m.t = 7.5;
+  r.m.period = 0.5;
+  r.m.target_delay = 2.0;
+  r.m.fin = 310.5;
+  r.m.fin_forecast = 320.25;
+  r.m.admitted = 201.3;
+  r.m.fout = 200.9;
+  r.m.queue = 402.1;
+  r.m.cost = 0.005;
+  r.m.y_hat = 2.01;
+  r.m.y_measured = 1.9;
+  r.m.has_y_measured = true;
+  r.v = 201.0;
+  r.alpha = 0.35;
+  r.lateness = 0.0001;
+  r.site = ActuationSite::kSplit;
+  r.queue_shed = 12.0;
+  r.h_hat = 0.96;
+  r.shard_q = {100.5, 150.25, 151.35};
+  return r;
+}
+
+/// Every case the schema's optional rules tell apart: y_meas set and
+/// unset, h_hat NaN and finite, no shards and three, each ActuationSite.
+std::vector<PeriodRecord> SchemaRecords() {
+  std::vector<PeriodRecord> rows;
+  for (const bool has_y_meas : {true, false}) {
+    for (const bool has_h_hat : {false, true}) {
+      for (const bool sharded : {false, true}) {
+        for (const ActuationSite site :
+             {ActuationSite::kEntry, ActuationSite::kInNetwork,
+              ActuationSite::kSplit}) {
+          PeriodRecord r = PinnedRecord();
+          r.m.k = static_cast<int>(rows.size()) + 1;
+          r.m.has_y_measured = has_y_meas;
+          if (!has_h_hat) r.h_hat = std::numeric_limits<double>::quiet_NaN();
+          if (!sharded) r.shard_q.clear();
+          r.site = site;
+          rows.push_back(r);
+        }
+      }
+    }
+  }
+  return rows;
+}
+
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::vector<std::string> SplitCsv(const std::string& line) {
+  std::vector<std::string> cells(1);
+  for (const char c : line) {
+    if (c == ',') {
+      cells.emplace_back();
+    } else {
+      cells.back() += c;
+    }
+  }
+  return cells;
+}
+
+/// The members of a flat JSON object, in order, each value verbatim (a
+/// number, null, a quoted string or an array).
+std::vector<std::pair<std::string, std::string>> Members(
+    const std::string& obj) {
+  std::vector<std::pair<std::string, std::string>> members;
+  size_t i = 1;  // past '{'
+  while (i < obj.size() && obj[i] == '"') {
+    const size_t key_end = obj.find('"', i + 1);
+    const size_t value_begin = key_end + 2;  // past '":'
+    size_t j = value_begin;
+    int depth = 0;
+    bool in_string = false;
+    for (; j < obj.size(); ++j) {
+      const char c = obj[j];
+      if (in_string) {
+        in_string = c != '"';
+      } else if (c == '"') {
+        in_string = true;
+      } else if (c == '[') {
+        ++depth;
+      } else if (c == ']') {
+        --depth;
+      } else if ((c == ',' || c == '}') && depth == 0) {
+        break;
+      }
+    }
+    members.emplace_back(obj.substr(i + 1, key_end - i - 1),
+                         obj.substr(value_begin, j - value_begin));
+    i = j + 1;
+  }
+  return members;
+}
+
+/// The period objects of recorder `name` in a flight dump.
+std::vector<std::string> DumpPeriods(const std::string& dump,
+                                     const std::string& name) {
+  std::vector<std::string> periods;
+  const std::string open = "\"periods\":[";
+  size_t pos = dump.find(open, dump.find("\"name\":\"" + name + "\""));
+  if (pos == std::string::npos) return periods;
+  for (pos += open.size(); dump[pos] == '{';) {
+    const size_t end = dump.find('}', pos) + 1;
+    periods.push_back(dump.substr(pos, end - pos));
+    pos = dump[end] == ',' ? end + 1 : end;
+  }
+  return periods;
+}
+
+TEST(PeriodSchemaTest, BytesMatchThePinnedFormat) {
+  const std::string dir = TempDir("pinned");
+  PublishTimeline({PinnedRecord()}, dir);
+  EXPECT_EQ(ReadFile(TimelineCsvPath(dir)),
+            "k,t,period,yd,fin,fin_forecast,admitted,fout,q,c,y_hat,y_meas,"
+            "e,u,v,alpha,loss,lateness,site,queue_shed\n"
+            "7,7.5,0.5,2,310.5,320.25,201.30000000000001,200.90000000000001,"
+            "402.10000000000002,0.0050000000000000001,2.0099999999999998,"
+            "1.8999999999999999,-0.0099999999999997868,0.099999999999994316,"
+            "201,0.34999999999999998,0.35169082125603862,0.0001,split,12\n");
+  EXPECT_EQ(ReadFile(TimelineJsonlPath(dir)),
+            "{\"k\":7,\"t\":7.5,\"yd\":2,\"fin\":310.5,\"fin_forecast\":320.25,"
+            "\"admitted\":201.30000000000001,\"fout\":200.90000000000001,"
+            "\"q\":402.10000000000002,\"c\":0.0050000000000000001,"
+            "\"y_hat\":2.0099999999999998,\"y_meas\":1.8999999999999999,"
+            "\"e\":-0.0099999999999997868,\"u\":0.099999999999994316,"
+            "\"v\":201,\"alpha\":0.34999999999999998,"
+            "\"loss\":0.35169082125603862,\"lateness\":0.0001,"
+            "\"site\":\"split\",\"queue_shed\":12,"
+            "\"h_hat\":0.95999999999999996,\"shards\":3,"
+            "\"shard_q\":[100.5,150.25,151.34999999999999]}\n");
+  std::filesystem::remove_all(dir);
+}
+
+// Walks kPeriodFields, so a new field needs no edit here.
+TEST(PeriodSchemaTest, EverySurfaceAgreesWithTheTable) {
+  const std::vector<PeriodRecord> rows = SchemaRecords();
+  const std::string dir = TempDir("schema");
+  PublishTimeline(rows, dir);
+  FlightRecorder flight("schema");
+  for (const PeriodRecord& row : rows) flight.RecordPeriod(row);
+  ASSERT_TRUE(SetFlightDumpPath(dir + "/schema.flightdump.json"));
+  ASSERT_TRUE(WriteFlightDump("request", "unit test"));
+
+  const std::vector<std::string> csv = Lines(ReadFile(TimelineCsvPath(dir)));
+  const std::vector<std::string> jsonl =
+      Lines(ReadFile(TimelineJsonlPath(dir)));
+  const std::vector<std::string> dumped =
+      DumpPeriods(ReadFile(dir + "/schema.flightdump.json"), "schema");
+  ASSERT_EQ(csv.size(), rows.size() + 1);
+  ASSERT_EQ(jsonl.size(), rows.size());
+  ASSERT_EQ(dumped.size(), rows.size());
+
+  std::vector<std::string> csv_names;
+  for (const PeriodField& f : kPeriodFields) {
+    if ((f.surfaces & kCsv) != 0) csv_names.push_back(f.name);
+  }
+  EXPECT_EQ(SplitCsv(csv[0]), csv_names);
+
+  for (size_t r = 0; r < rows.size(); ++r) {
+    SCOPED_TRACE(jsonl[r]);
+    JsonChecker checker(jsonl[r]);
+    EXPECT_TRUE(checker.Valid());
+    const PeriodValues values = ValuesOf(rows[r]);
+    const std::vector<std::string> cells = SplitCsv(csv[r + 1]);
+    ASSERT_EQ(cells.size(), csv_names.size());
+    const auto members = Members(jsonl[r]);
+    size_t cell = 0;
+    size_t member = 0;
+    for (size_t i = 0; i < values.size(); ++i) {
+      const PeriodField& f = kPeriodFields[i];
+      SCOPED_TRACE(f.name);
+      const bool finite = std::isfinite(values[i]);
+      // The CSV cell: the value itself, `nan` when not finite.
+      std::string csv_cell;
+      if ((f.surfaces & kCsv) != 0) {
+        csv_cell = cells[cell++];
+        if (!finite) {
+          EXPECT_EQ(csv_cell, "nan");
+        } else if (f.format == FieldFormat::kSite) {
+          EXPECT_EQ(csv_cell, ActuationSiteName(rows[r].site));
+        } else {
+          EXPECT_EQ(std::strtod(csv_cell.c_str(), nullptr), values[i]);
+        }
+      }
+      if ((f.surfaces & kJson) == 0) {
+        for (const auto& m : members) EXPECT_NE(m.first, f.name);
+        continue;
+      }
+      if (!finite && f.nan == NanRule::kOmit) {
+        for (const auto& m : members) EXPECT_NE(m.first, f.name);
+        continue;
+      }
+      ASSERT_LT(member, members.size());
+      EXPECT_EQ(members[member].first, f.name);
+      const std::string& json = members[member++].second;
+      if (!finite) {
+        EXPECT_EQ(json, "null");
+      } else if (f.format == FieldFormat::kSite) {
+        EXPECT_EQ(json, "\"" + std::string(ActuationSiteName(rows[r].site)) +
+                            "\"");
+      } else if ((f.surfaces & kCsv) != 0) {
+        EXPECT_EQ(json, csv_cell);
+      } else {
+        EXPECT_EQ(std::strtod(json.c_str(), nullptr), values[i]);
+      }
+    }
+    // Sharded rows end in the shard fields; the flight dump has none.
+    std::string unsharded = jsonl[r];
+    if (rows[r].shard_q.empty()) {
+      EXPECT_EQ(member, members.size());
+    } else {
+      ASSERT_EQ(member + 2, members.size());
+      EXPECT_EQ(members[member].first, "shards");
+      EXPECT_EQ(members[member].second, "3");
+      EXPECT_EQ(members[member + 1].first, "shard_q");
+      EXPECT_EQ(members[member + 1].second,
+                "[100.5,150.25,151.34999999999999]");
+      unsharded = unsharded.substr(0, unsharded.find(",\"shards\":")) + "}";
+    }
+    EXPECT_EQ(dumped[r], unsharded);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PeriodSchemaTest, WorstWidthRowIsNotTruncated) {
+  // %.17g of a negative subnormal: the widest number there is.
+  const double worst = -1.2345678901234567e-308;
+  PeriodValues values;
+  values.fill(worst);
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (kPeriodFields[i].format == FieldFormat::kInt) values[i] = INT_MIN;
+    if (kPeriodFields[i].format == FieldFormat::kSite) {
+      values[i] = static_cast<double>(ActuationSite::kInNetwork);
+    }
+  }
+  char widest[40];
+  std::snprintf(widest, sizeof(widest), "%.17g", worst);
+  ASSERT_EQ(std::strlen(widest), kMaxValueChars);
+
+  PeriodJsonBuffer buf;
+  const std::string json(FormatPeriodJson(values, &buf));
+  JsonChecker checker(json);
+  EXPECT_TRUE(checker.Valid()) << json;
+  EXPECT_LT(json.size(), buf.size());
+  const auto members = Members(json);
+  std::ostringstream csv;
+  WritePeriodCsvRow(values, csv);
+  const std::vector<std::string> cells =
+      SplitCsv(csv.str().substr(0, csv.str().size() - 1));
+  size_t cell = 0;
+  size_t member = 0;
+  for (const PeriodField& f : kPeriodFields) {
+    const std::string expected = f.format == FieldFormat::kInt ? "-2147483648"
+                                 : f.format == FieldFormat::kSite
+                                     ? "in_network"
+                                     : widest;
+    if ((f.surfaces & kCsv) != 0) {
+      ASSERT_LT(cell, cells.size());
+      EXPECT_EQ(cells[cell++], expected) << f.name;
+    }
+    if ((f.surfaces & kJson) != 0) {
+      ASSERT_LT(member, members.size());
+      EXPECT_EQ(members[member].first, f.name);
+      EXPECT_EQ(members[member++].second,
+                f.format == FieldFormat::kSite ? "\"" + expected + "\""
+                                               : expected);
+    }
+  }
+  EXPECT_EQ(cell, cells.size());
+  EXPECT_EQ(member, members.size());
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 //
 // Examples:
 //   ctrlshed run method=ctrl workload=pareto duration=400 yd=2 seed=7
-//   ctrlshed run method=aurora workload=web vary_cost=1 trace_out=run.tsv
+//   ctrlshed run method=aurora workload=web vary_cost=1 trace_out=run.csv
 //   ctrlshed rt method=ctrl workload=web duration=60 compress=20
 //   ctrlshed trace kind=web duration=400 seed=42 > web.trace
 //   ctrlshed design poles=0.7
@@ -226,13 +226,7 @@ int WriteRecorder(const Recorder& recorder, const std::string& trace_out) {
     std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
     return 1;
   }
-  // .csv extension selects the machine-readable writer.
-  if (trace_out.size() >= 4 &&
-      trace_out.compare(trace_out.size() - 4, 4, ".csv") == 0) {
-    recorder.WriteCsv(out);
-  } else {
-    recorder.Write(out);
-  }
+  recorder.WriteCsv(out);
   std::printf("per-period trace written to %s\n", trace_out.c_str());
   return 0;
 }
@@ -774,8 +768,8 @@ void PrintHelp() {
       "  REQUIRES telemetry_token=SECRET (requests authenticate with\n"
       "  `Authorization: Bearer SECRET` or `?token=SECRET`; anything else\n"
       "  gets 401). Loopback binds stay open by default.\n"
-      "  trace_out=FILE writes the per-period table (CSV if FILE ends in\n"
-      "  .csv).\n"
+      "  trace_out=FILE writes the per-period CSV, the columns of\n"
+      "  timeline.csv (e.g. trace_out=run.csv).\n"
       "  ctrlshed trace  [kind=web|pareto|mmpp|cost] [duration=400]\n"
       "                  [beta=1.0] [seed=42]            (trace to stdout)\n"
       "  ctrlshed trace-merge [out=trace_merged.json]\n"
