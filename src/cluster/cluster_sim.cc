@@ -1,6 +1,7 @@
 #include "cluster/cluster_sim.h"
 
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -8,11 +9,11 @@
 #include "cluster/node_runner.h"
 #include "common/macros.h"
 #include "common/rng.h"
-#include "engine/engine.h"
-#include "engine/query_network.h"
 #include "metrics/qos_metrics.h"
+#include "rt/rt_clock.h"
+#include "rt/rt_loop.h"
+#include "rt/rt_runtime.h"
 #include "rt/rt_stats.h"
-#include "runner/networks.h"
 #include "sim/simulation.h"
 #include "workload/arrival_source.h"
 
@@ -20,31 +21,16 @@ namespace ctrlshed {
 
 namespace {
 
-/// One simulated worker: its own query network, engine and entry shedder,
-/// fed by its own slice of the arrival trace — the sim twin of one rt
-/// shard (engine thread + SPSC ring) of one node process.
-struct SimShard {
-  std::unique_ptr<QueryNetwork> net;
-  std::unique_ptr<Engine> engine;
-  std::unique_ptr<Shedder> shedder;
-  std::unique_ptr<ArrivalSource> source;
-  /// Victim RNG for in-network budgets, same seed stream as the rt
-  /// workers' (seed + 6 + 7919g); null when the queue shedder is off.
-  std::unique_ptr<Rng> shed_rng;
-
-  // Ingress-side counters (what RtSharedStats holds in the socket runner).
-  uint64_t offered = 0;
-  uint64_t entry_shed = 0;
-  double delay_sum = 0.0;
-  uint64_t delay_count = 0;
-};
-
+/// One simulated node: the socket node's plant, fed by its slices of the
+/// arrival trace and pumped by simulation events, not worker threads.
 struct SimNode {
   uint32_t id = 0;
   bool dead = false;
-  std::vector<SimShard> shards;
-  std::vector<Shedder*> shedder_ptrs;
+  RtPlant plant;
+  std::vector<std::unique_ptr<ArrivalSource>> sources;
   std::unique_ptr<NodeAgent> agent;
+  std::mutex mu;  ///< AdmitToShard's shedder lock (uncontended here).
+  uint64_t plan_seq = 0;
 };
 
 }  // namespace
@@ -69,76 +55,49 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
                "invalid config (validate with ExperimentConfigError first)");
 
   const int total_shards = config.nodes * config.workers_per_node;
-  const double nominal_cost = base.headroom_true / base.capacity_rate;
+  const double nominal_cost = NominalCost(base);
 
   Simulation sim;
   QosAccumulator qos(base.target_delay);
-  uint64_t total_queue_shed = 0;  // folded at the end from engines
+  RtClock clock;  // never started: simulation events drive every pump
 
-  // --- Plants: N nodes x W shards, each shard a full engine --------------
-  // Seeds and trace slices follow the rt runtime's convention with the
-  // shard index taken cluster-wide, so nodes=1 reproduces the
-  // single-process sharded runtime's streams exactly.
+  // --- Plants: N nodes, each the socket node's W-shard plant ------------
+  // Shedder and victim seeds are node-local, as in every `ctrlshed node`
+  // process; arrival seeds and trace slices take the shard index
+  // cluster-wide, so nodes=1 replays the rt runtime's streams exactly.
   const RateTrace full_trace = BuildArrivalTrace(base);
-
-  // Fig. 14 time-varying cost: ONE shared trace sampled by every engine —
-  // the cluster twin of a workload-wide cost drift.
-  const CostMultiplierFn cost_multiplier = CostMultiplierFor(base);
-
   std::vector<std::unique_ptr<SimNode>> nodes;
   nodes.reserve(static_cast<size_t>(config.nodes));
   for (int n = 0; n < config.nodes; ++n) {
     auto node = std::make_unique<SimNode>();
     node->id = static_cast<uint32_t>(n);
-    node->shards.resize(static_cast<size_t>(config.workers_per_node));
+    node->plant = BuildRtPlant(base, config.workers_per_node, /*pin_cpus=*/"",
+                               RtEngineOptions{}, &clock);
     for (int w = 0; w < config.workers_per_node; ++w) {
       const int g = n * config.workers_per_node + w;  // cluster-wide index
-      SimShard& shard = node->shards[static_cast<size_t>(w)];
-      shard.net = std::make_unique<QueryNetwork>();
-      BuildIdentificationNetwork(shard.net.get(), nominal_cost);
-      shard.engine =
-          std::make_unique<Engine>(shard.net.get(), base.headroom_true);
-      shard.engine->SetCostMultiplier(cost_multiplier);
-      sim.AttachProcess(shard.engine.get());
-      shard.shedder = MakeEntryShedder(base, g);
-      if (base.use_queue_shedder) {
-        shard.shed_rng = std::make_unique<Rng>(
-            base.seed + 6 + 7919 * static_cast<uint64_t>(g));
-      }
-      node->shedder_ptrs.push_back(shard.shedder.get());
-      shard.source = std::make_unique<ArrivalSource>(
+      node->plant.engines[static_cast<size_t>(w)]->SetDepartureCallback(
+          [&qos](const Departure& d) { qos.OnDeparture(d); });
+      node->sources.push_back(std::make_unique<ArrivalSource>(
           g,
           total_shards == 1
               ? full_trace
               : full_trace.Scaled(1.0 / static_cast<double>(total_shards)),
-          base.spacing, base.seed + 3 + static_cast<uint64_t>(g));
-      shard.engine->SetDepartureCallback(
-          [&shard, &qos](const Departure& d) {
-            shard.delay_sum += d.depart_time - d.arrival_time;
-            ++shard.delay_count;
-            qos.OnDeparture(d);
-          });
+          base.spacing, base.seed + 3 + static_cast<uint64_t>(g)));
     }
-
+    std::vector<Shedder*> shedders;
+    for (const RtShard& shard : node->plant.shards) {
+      shedders.push_back(shard.shedder);
+    }
     node->agent = std::make_unique<NodeAgent>(
-        nominal_cost, node->shedder_ptrs, NodeAgentOptionsFor(base, node->id));
-    if (base.use_queue_shedder) {
-      // The sim's budget "handshake" is a direct call: the plant is
-      // single-threaded, so the shard drains its in-network budget at the
-      // moment the plan lands (the rt runner posts through RtSharedStats
-      // instead and the worker pump drains it asynchronously).
-      SimNode* node_raw = node.get();
-      const Engine::QueueVictimPolicy policy =
-          base.cost_aware_shedding ? Engine::QueueVictimPolicy::kMostCostly
-                                   : Engine::QueueVictimPolicy::kRandom;
-      node->agent->SetBudgetPoster(
-          [node_raw, policy](size_t i, const ActuationPlan& plan, uint32_t) {
-            if (plan.queue_budget_load <= 0.0) return;
-            SimShard& shard = node_raw->shards[i];
-            shard.engine->ShedFromQueues(plan.queue_budget_load,
-                                         *shard.shed_rng, policy);
-          });
-    }
+        nominal_cost, shedders, NodeAgentOptionsFor(base, node->id));
+    // In-network budgets go out through the plan handshake, as in the
+    // socket node; the shard's following pumps drain them.
+    SimNode* node_raw = node.get();
+    node->agent->SetBudgetPoster(
+        [node_raw](size_t i, const ActuationPlan& plan) {
+          node_raw->plant.engines[i]->stats()->PostPlan(
+              plan, ++node_raw->plan_seq);
+        });
     nodes.push_back(std::move(node));
   }
 
@@ -176,22 +135,19 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
   }
 
   // --- Arrivals ----------------------------------------------------------
+  // Each arrival is admitted and pumped at its own time: at quantum 1 the
+  // engine sees every tuple at its arrival with the shedder's same draws.
   for (const auto& node_ptr : nodes) {
     SimNode* node = node_ptr.get();
-    for (SimShard& shard_ref : node->shards) {
-      SimShard* shard = &shard_ref;
-      shard->source->Start(&sim, [node, shard](const Tuple& t) {
+    for (size_t w = 0; w < node->sources.size(); ++w) {
+      const RtShard shard = node->plant.shards[w];
+      node->sources[w]->Start(&sim, [node, shard](const Tuple& t) {
         // A dead node's producers write into a closed socket: the tuples
         // vanish before any counter on the node side sees them.
         if (node->dead) return;
-        ++shard->offered;
-        if (!shard->shedder->Admit(t)) {
-          ++shard->entry_shed;
-          return;
-        }
-        Tuple local = t;
-        local.source = 0;  // each shard's network has a single entry
-        shard->engine->Inject(local, local.arrival_time);
+        AdmitToShard(shard.engine, shard.shedder, &node->mu,
+                     /*local_source=*/0, &t, 1);
+        shard.engine->Pump(t.arrival_time);
       });
     }
   }
@@ -207,25 +163,10 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
     sim.ScheduleEvery(base.period, base.period, [&, node](SimTime t) {
       if (node->dead) return false;
       std::vector<RtSample> samples;
-      samples.reserve(node->shards.size());
-      for (const SimShard& shard : node->shards) {
-        RtSample s;
-        s.now = t;
-        s.offered = shard.offered;
-        s.entry_shed = shard.entry_shed;
-        s.ring_dropped = 0;
-        const EngineCounters& c = shard.engine->counters();
-        s.admitted = c.admitted;
-        s.departed = c.departed;
-        s.queue_shed = c.shed_lineages;
-        s.queue_shed_load = c.shed_base_load;
-        s.busy_seconds = c.busy_seconds;
-        s.drained_base_load = c.drained_base_load;
-        s.queued_tuples = shard.engine->QueuedTuples();
-        s.outstanding_base_load = shard.engine->OutstandingBaseLoad();
-        s.delay_sum = shard.delay_sum;
-        s.delay_count = shard.delay_count;
-        samples.push_back(s);
+      samples.reserve(node->plant.engines.size());
+      for (const auto& engine : node->plant.engines) {
+        engine->Pump(t);
+        samples.push_back(engine->stats()->Snapshot(t));
       }
       NodeStatsReport report = node->agent->Tick(samples);
       if (config.piggyback_metrics) {
@@ -274,6 +215,10 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
   }
 
   sim.Run(base.duration);
+  // The final pump, as a socket node's worker runs one at shutdown.
+  for (const auto& node : nodes) {
+    for (const auto& engine : node->plant.engines) engine->Pump(base.duration);
+  }
   ctl.Flush();  // a period still waiting on delayed/lost acks
 
   // --- Results -----------------------------------------------------------
@@ -288,26 +233,28 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
 
   uint64_t offered = 0;
   uint64_t entry_shed = 0;
+  uint64_t ring_dropped = 0;
+  uint64_t queue_shed = 0;
   for (const auto& node : nodes) {
     ClusterSimNodeResult nr;
     nr.node_id = node->id;
     nr.killed = node->dead;
     nr.final_alpha = node->agent->last_alpha();
-    for (const SimShard& shard : node->shards) {
-      nr.offered += shard.offered;
-      nr.entry_shed += shard.entry_shed;
-      nr.queue_shed += shard.engine->counters().shed_lineages;
-      nr.departed += shard.engine->counters().departed;
+    for (const auto& engine : node->plant.engines) {
+      const RtSample s = engine->stats()->Snapshot(base.duration);
+      nr.offered += s.offered;
+      nr.entry_shed += s.entry_shed;
+      nr.ring_dropped += s.ring_dropped;
+      nr.queue_shed += s.queue_shed;
+      nr.departed += s.departed;
     }
     offered += nr.offered;
     entry_shed += nr.entry_shed;
-    total_queue_shed += nr.queue_shed;
+    ring_dropped += nr.ring_dropped;
+    queue_shed += nr.queue_shed;
     result.nodes.push_back(nr);
   }
-
-  // The sim has no ingress rings, so nothing is ring-dropped.
-  result.summary = qos.Summarize(offered, entry_shed, /*ring_dropped=*/0,
-                                 total_queue_shed);
+  result.summary = qos.Summarize(offered, entry_shed, ring_dropped, queue_shed);
   return result;
 }
 

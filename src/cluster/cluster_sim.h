@@ -12,19 +12,20 @@
 namespace ctrlshed {
 
 /// Deterministic multi-node cluster on the discrete-event substrate: N
-/// nodes of W sim engines each, a ClusterControlLoop, and a modeled
-/// message-passing network (delay + Bernoulli loss, seeded) instead of
-/// sockets. Every event — arrivals, node ticks, message deliveries,
-/// controller ticks — lives on one event heap with FIFO tie-breaking, so
-/// runs are bit-reproducible.
+/// nodes, each the socket node's plant (BuildRtPlant's W shards, admitted
+/// through AdmitToShard, pumped by simulation events instead of worker
+/// threads), a ClusterControlLoop, and a modeled message-passing network
+/// (delay + Bernoulli loss, seeded) instead of sockets. Every event —
+/// arrivals, node ticks, message deliveries, controller ticks — lives on
+/// one event heap with FIFO tie-breaking, so runs are bit-reproducible.
 ///
 /// Zero-delay messages are delivered INLINE (a direct call, not a
 /// scheduled event): a report sent at a period boundary is then visible
 /// to the controller tick at that same boundary, exactly like the
 /// single-process loop where sampling and actuation are one call chain.
 /// That, plus nodes ticking before the controller at shared timestamps,
-/// is what makes nodes=1/delay=0/loss=0 arithmetically identical to the
-/// single-process sharded loop.
+/// is what makes nodes=1/delay=0/loss=0 arithmetically identical to
+/// RtLoop on the same plant driven on virtual time.
 struct ClusterSimConfig {
   /// Workload, duration, period, setpoint, headrooms, gains, seed. The
   /// cluster path supports method=kCtrl with last-value prediction and no
@@ -65,12 +66,13 @@ struct ClusterSimConfig {
 };
 
 /// Shed counters follow the repo-wide scheme (docs/architecture.md "Shed
-/// accounting"); the sim has no ingress rings, so ring_dropped is absent.
+/// accounting").
 struct ClusterSimNodeResult {
   uint32_t node_id = 0;
   bool killed = false;
   uint64_t offered = 0;
   uint64_t entry_shed = 0;
+  uint64_t ring_dropped = 0;
   uint64_t queue_shed = 0;
   uint64_t departed = 0;
   double final_alpha = 0.0;

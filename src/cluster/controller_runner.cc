@@ -23,7 +23,7 @@ namespace ctrlshed {
 ClusterControlLoopOptions ClusterLoopOptions(const ExperimentConfig& base,
                                              int stale_periods) {
   ClusterControlLoopOptions o;
-  o.nominal_entry_cost = base.headroom_true / base.capacity_rate;
+  o.nominal_entry_cost = NominalCost(base);
   o.target_delay = base.target_delay;
   o.monitor.period = base.period;
   o.monitor.cost_ewma = base.cost_ewma;

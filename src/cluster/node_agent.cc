@@ -79,7 +79,7 @@ ActuationAck NodeAgent::Apply(const ClusterActuation& a) {
       &period_, monitor_.shard_fin(), monitor_.shard_queues(),
       [this, &a](size_t i, const ActuationPlan& plan,
                  const PeriodMeasurement& mi) {
-        if (a.queue_shed && budget_poster_) budget_poster_(i, plan, a.seq);
+        if (a.queue_shed && budget_poster_) budget_poster_(i, plan);
         return ApplySlice(*shedders_[i], plan, mi);
       });
   ack.applied = fold.applied;

@@ -51,13 +51,12 @@ class NodeAgent {
   ActuationAck Apply(const ClusterActuation& a);
 
   /// Shard-budget delivery seam for in-network shedding. The runner owns
-  /// how a budget reaches shard `i`'s engine: the socket runner posts it
-  /// through the RtSharedStats plan handshake (the worker pump drains it),
-  /// the single-threaded cluster sim executes ShedFromQueues directly.
-  /// Called from Apply, once per shard, only for queue_shed commands.
+  /// how a budget reaches shard `i`'s engine; both the socket runner and
+  /// the cluster sim post it through the RtSharedStats plan handshake, and
+  /// the shard's following pumps drain it. Called from Apply, once per
+  /// shard, only for queue_shed commands.
   using BudgetPoster =
-      std::function<void(size_t shard, const ActuationPlan& plan,
-                         uint32_t ctrl_seq)>;
+      std::function<void(size_t shard, const ActuationPlan& plan)>;
   void SetBudgetPoster(BudgetPoster poster) {
     budget_poster_ = std::move(poster);
   }

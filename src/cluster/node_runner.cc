@@ -47,7 +47,6 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
   IgnoreSigPipe();  // a dying peer must never kill the node process
 
   const int workers = config.workers;
-  const double nominal_cost = base.headroom_true / base.capacity_rate;
 
   std::unique_ptr<Telemetry> telemetry = Telemetry::Open(base.telemetry);
   if (telemetry) {
@@ -86,7 +85,7 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
   std::vector<Shedder*> shedders;
   for (const RtShard& shard : plant.shards) shedders.push_back(shard.shedder);
 
-  NodeAgent agent(nominal_cost, shedders,
+  NodeAgent agent(NominalCost(base), shedders,
                   NodeAgentOptionsFor(base, config.node_id));
 
   // One plant mutex serializes the three users of the shedders/agent:
@@ -100,10 +99,10 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
   // drains the budget between engine advances. `plan_seq` is guarded by
   // plant_mu (the poster only runs inside agent.Apply).
   uint64_t plan_seq = 0;
-  agent.SetBudgetPoster(
-      [&engines, &plan_seq](size_t i, const ActuationPlan& plan, uint32_t) {
-        engines[i]->stats()->PostPlan(plan, ++plan_seq);
-      });
+  agent.SetBudgetPoster([&engines, &plan_seq](size_t i,
+                                              const ActuationPlan& plan) {
+    engines[i]->stats()->PostPlan(plan, ++plan_seq);
+  });
 
   // HealthMonitor is internally locked, so the server thread may read a
   // verdict without plant_mu. Lifetime: the explicit telemetry->Stop()

@@ -29,6 +29,7 @@ FeedbackLoop::FeedbackLoop(Simulation* sim, Engine* engine,
                     engine != nullptr ? engine->NominalEntryCost() : 1.0,
                     options.allow_in_network_shed, options.cost_aware_shed},
                 options.telemetry),
+      predictor_(MakePredictor(options.predictor)),
       target_delay_(options.target_delay) {
   CS_CHECK(sim_ != nullptr);
   CS_CHECK(engine_ != nullptr);
@@ -43,11 +44,6 @@ FeedbackLoop::FeedbackLoop(Simulation* sim, Engine* engine,
 void FeedbackLoop::SetDepartureObserver(DepartureCallback observer) {
   CS_CHECK_MSG(!started_, "observer must be set before Start");
   observer_ = std::move(observer);
-}
-
-void FeedbackLoop::SetRatePredictor(RatePredictor* predictor) {
-  CS_CHECK_MSG(!started_, "predictor must be set before Start");
-  predictor_ = predictor;
 }
 
 void FeedbackLoop::Start() {
@@ -86,7 +82,7 @@ void FeedbackLoop::SetTargetDelay(double yd) {
 
 void FeedbackLoop::ControlTick(SimTime now) {
   PeriodMeasurement m = monitor_.Sample(now, offered_, target_delay_);
-  if (predictor_ != nullptr) m.fin_forecast = predictor_->Observe(m.fin);
+  m.fin_forecast = predictor_->Observe(m.fin);
   PeriodRecord rec{.m = m};
   if (controller_ != nullptr) {
     if (options_.allow_in_network_shed) {

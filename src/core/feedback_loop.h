@@ -2,14 +2,13 @@
 #define CTRLSHED_CORE_FEEDBACK_LOOP_H_
 
 #include <cstdint>
+#include <memory>
 
 #include "control/controller.h"
 #include "control/monitor.h"
 #include "control/rate_predictor.h"
 #include "core/period_pipeline.h"
 #include "engine/engine.h"
-#include <memory>
-
 #include "metrics/per_source_stats.h"
 #include "metrics/qos_metrics.h"
 #include "metrics/recorder.h"
@@ -39,6 +38,9 @@ struct FeedbackLoopOptions {
   bool allow_in_network_shed = false;
   /// Victim policy for the in-network half (see QueueShedder).
   bool cost_aware_shed = false;
+  /// One-step-ahead arrival-rate forecast feeding the actuator (default:
+  /// the paper's last-value estimate, Eq. 13).
+  PredictorKind predictor = PredictorKind::kLastValue;
   /// When set, every finished control period is published to the
   /// telemetry timeline sinks (streaming files + SSE) as it happens,
   /// instead of only being exported after the run. Not owned.
@@ -68,11 +70,6 @@ class FeedbackLoop {
   /// identification, which groups delays by arrival period). Must be
   /// called before Start.
   void SetDepartureObserver(DepartureCallback observer);
-
-  /// Installs a one-step-ahead arrival-rate predictor feeding the
-  /// actuator's fin forecast (default: the paper's last-value estimate).
-  /// The pointee must outlive the loop; must be called before Start.
-  void SetRatePredictor(RatePredictor* predictor);
 
   /// Installs callbacks and schedules the periodic control events.
   void Start();
@@ -121,7 +118,7 @@ class FeedbackLoop {
   std::unique_ptr<PerSourceStats> per_source_;
 
   DepartureCallback observer_;
-  RatePredictor* predictor_ = nullptr;
+  std::unique_ptr<RatePredictor> predictor_;
   QueueFeedback feedback_;  ///< Scratch, refilled each period.
   HeadroomTracker headroom_tracker_;
   uint64_t prev_queue_shed_ = 0;  ///< Engine shed_lineages at last tick.

@@ -3,12 +3,7 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "control/aurora_controller.h"
-#include "control/baseline_controller.h"
-#include "control/ctrl_controller.h"
-#include "shedding/aurora_shedder.h"
-#include "shedding/entry_shedder.h"
-#include "shedding/queue_shedder.h"
+#include "runner/experiment.h"
 #include "shedding/semantic_shedder.h"
 #include "shedding/weighted_shedder.h"
 
@@ -95,87 +90,51 @@ void StreamSystem::Freeze() {
   }
   net_.Finalize();
 
-  engine_ = std::make_unique<Engine>(
-      &net_, options_.headroom,
-      MakeScheduler(options_.scheduler, options_.seed + 5));
-  sim_.AttachProcess(engine_.get());
-
+  ExperimentConfig config;
   switch (options_.policy) {
-    case Policy::kNone:
-      break;
-    case Policy::kControl: {
-      CtrlOptions opts;
-      opts.headroom = options_.headroom;
-      controller_ = std::make_unique<CtrlController>(opts);
-      break;
-    }
-    case Policy::kBaseline:
-      controller_ = std::make_unique<BaselineController>(options_.headroom);
-      break;
-    case Policy::kAurora:
-      controller_ = std::make_unique<AuroraController>(options_.headroom);
-      break;
+    case Policy::kNone: config.method = Method::kNone; break;
+    case Policy::kControl: config.method = Method::kCtrl; break;
+    case Policy::kBaseline: config.method = Method::kBaseline; break;
+    case Policy::kAurora: config.method = Method::kAurora; break;
   }
+  config.use_queue_shedder = options_.actuator == Actuator::kQueue;
+  config.headroom_true = options_.headroom;
+  config.headroom_est = options_.headroom;
+  config.period = options_.control_period;
+  config.target_delay = options_.target_delay;
+  config.predictor = options_.predictor;
+  config.scheduler = options_.scheduler;
+  config.seed = options_.seed;
+  config.setpoint_schedule = pending_setpoints_;
 
-  if (controller_ != nullptr) {
-    if (options_.policy == Policy::kAurora) {
-      shedder_ = std::make_unique<AuroraQuotaShedder>();
-    } else {
-      switch (options_.actuator) {
-        case Actuator::kEntry:
-          shedder_ = std::make_unique<EntryShedder>(options_.seed + 2);
-          break;
-        case Actuator::kQueue:
-          shedder_ =
-              std::make_unique<QueueShedder>(engine_.get(), options_.seed + 2);
-          break;
-        case Actuator::kSemantic:
-          shedder_ = std::make_unique<SemanticShedder>();
-          break;
-        case Actuator::kWeighted: {
-          CS_CHECK_MSG(options_.stream_priorities.size() == streams_.size(),
-                       "stream_priorities must match the declared streams");
-          shedder_ = std::make_unique<WeightedEntryShedder>(
-              options_.stream_priorities, options_.seed + 2);
-          break;
-        }
-      }
+  // The recipe's actuators are the entry and queue shedders; the semantic
+  // and weighted ones are this facade's own (Aurora keeps its quota
+  // shedder whatever the actuator).
+  std::unique_ptr<Shedder> shedder;
+  if (config.method != Method::kNone && config.method != Method::kAurora) {
+    if (options_.actuator == Actuator::kSemantic) {
+      shedder = std::make_unique<SemanticShedder>();
+    } else if (options_.actuator == Actuator::kWeighted) {
+      CS_CHECK_MSG(options_.stream_priorities.size() == streams_.size(),
+                   "stream_priorities must match the declared streams");
+      shedder = std::make_unique<WeightedEntryShedder>(
+          options_.stream_priorities, options_.seed + 2);
     }
   }
-
-  FeedbackLoopOptions loop_opts;
-  loop_opts.period = options_.control_period;
-  loop_opts.target_delay = options_.target_delay;
-  loop_opts.headroom = options_.headroom;
-  // The queue shedder executes the loop's in-network plans; without them
-  // it would plan its own queue removal and the periods would read entry.
-  loop_opts.allow_in_network_shed =
-      controller_ != nullptr && options_.policy != Policy::kAurora &&
-      options_.actuator == Actuator::kQueue;
+  FeedbackLoopOptions loop_opts = SimLoopOptions(config);
   if (options_.track_per_stream) {
     loop_opts.track_sources = static_cast<int>(streams_.size());
   }
-  loop_ = std::make_unique<FeedbackLoop>(&sim_, engine_.get(),
-                                         controller_.get(), shedder_.get(),
-                                         loop_opts);
-  if (options_.predictor != PredictorKind::kLastValue) {
-    predictor_ = MakePredictor(options_.predictor);
-    loop_->SetRatePredictor(predictor_.get());
-  }
-  loop_->Start();
+  loop_ = std::make_unique<SimLoop>(&sim_, &net_, config, loop_opts,
+                                    std::move(shedder));
 
-  for (const auto& [when, target] : pending_setpoints_) {
-    sim_.Schedule(when, [this, target = target]() {
-      loop_->SetTargetDelay(target);
-    });
-  }
-
+  FeedbackLoop* loop = &loop_->loop();
   for (PendingWorkload& w : pending_workloads_) {
     sources_.push_back(std::make_unique<ArrivalSource>(
         w.source, std::move(w.trace), w.spacing,
         options_.seed + 10 + static_cast<uint64_t>(w.source)));
-    sources_.back()->Start(
-        &sim_, [this](const Tuple& t) { loop_->OnArrival(t); });
+    sources_.back()->Start(&sim_,
+                           [loop](const Tuple& t) { loop->OnArrival(t); });
   }
   pending_workloads_.clear();
   frozen_ = true;
@@ -188,32 +147,32 @@ void StreamSystem::Run(SimTime end) {
 
 QosSummary StreamSystem::Summary() const {
   CS_CHECK_MSG(frozen_, "Run first");
-  return loop_->Summary();
+  return loop_->loop().Summary();
 }
 
 const Recorder& StreamSystem::recorder() const {
   CS_CHECK_MSG(frozen_, "Run first");
-  return loop_->recorder();
+  return loop_->loop().recorder();
 }
 
 double StreamSystem::LossRatio() const {
   CS_CHECK_MSG(frozen_, "Run first");
-  return loop_->LossRatio();
+  return loop_->loop().LossRatio();
 }
 
 double StreamSystem::NominalCost() const {
   CS_CHECK_MSG(frozen_, "Run first");
-  return engine_->NominalEntryCost();
+  return loop_->engine().NominalEntryCost();
 }
 
 const PerSourceStats* StreamSystem::per_stream() const {
   CS_CHECK_MSG(frozen_, "Run first");
-  return loop_->per_source();
+  return loop_->loop().per_source();
 }
 
 const Engine& StreamSystem::engine() const {
   CS_CHECK_MSG(frozen_, "Run first");
-  return *engine_;
+  return loop_->engine();
 }
 
 }  // namespace ctrlshed

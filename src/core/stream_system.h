@@ -5,20 +5,19 @@
 #include <string>
 #include <vector>
 
-#include "control/controller.h"
 #include "control/rate_predictor.h"
 #include "core/feedback_loop.h"
 #include "engine/engine.h"
 #include "engine/query_network.h"
 #include "engine/scheduler.h"
 #include "metrics/qos_metrics.h"
-#include "shedding/shedder.h"
 #include "sim/simulation.h"
 #include "workload/arrival_source.h"
 #include "workload/rate_trace.h"
 
 namespace ctrlshed {
 
+class SimLoop;
 class StreamSystem;
 
 /// Fluent builder for one stream's processing pipeline. Obtained from
@@ -67,7 +66,9 @@ class StreamBuilder {
 
 /// One-stop facade over the whole library: build a query network with
 /// fluent pipelines, pick a shedding policy, attach workloads, run on the
-/// virtual clock, read the QoS. See examples/quickstart.cpp.
+/// virtual clock, read the QoS. See examples/quickstart.cpp. The loop is
+/// the run recipe's SimLoop (runner/experiment.h) over the built network,
+/// so a policy here runs exactly what `ctrlshed run method=...` runs.
 class StreamSystem {
  public:
   enum class Policy {
@@ -156,11 +157,7 @@ class StreamSystem {
   std::vector<std::pair<SimTime, double>> pending_setpoints_;
 
   // Live after Freeze().
-  std::unique_ptr<Engine> engine_;
-  std::unique_ptr<LoadController> controller_;
-  std::unique_ptr<Shedder> shedder_;
-  std::unique_ptr<RatePredictor> predictor_;
-  std::unique_ptr<FeedbackLoop> loop_;
+  std::unique_ptr<SimLoop> loop_;
   std::vector<std::unique_ptr<ArrivalSource>> sources_;
   bool frozen_ = false;
 };

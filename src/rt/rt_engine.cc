@@ -148,6 +148,7 @@ void RtEngine::Pump(SimTime now) {
   }
   engine_.AdvanceTo(now);
   ConsumeShedBudget();
+  Publish();
 }
 
 void RtEngine::ConsumeShedBudget() {
@@ -261,7 +262,6 @@ void RtEngine::WorkerLoop() {
     {
       ScopedSpan span(trace_buf_, "pump");
       Pump(clock_->Now());
-      Publish();
     }
     if (pump_counter_ != nullptr) pump_counter_->Add();
 
@@ -280,10 +280,9 @@ void RtEngine::WorkerLoop() {
     if (deadline < now) deadline = now + pacing;  // don't chase a lost past
   }
 
-  // Final pump + publish so end-of-run stats include everything that
-  // happened before the stop signal.
+  // Final pump so end-of-run stats include everything that happened
+  // before the stop signal.
   Pump(clock_->Now());
-  Publish();
 }
 
 }  // namespace ctrlshed

@@ -129,15 +129,16 @@ class RtEngine {
   size_t OfferBatch(const Tuple* tuples, size_t n);
 
   /// One drain-and-advance step: moves every due tuple (arrival <= `now`)
-  /// from the ingress rings into the engine in arrival order and advances
-  /// the virtual CPU to `now`. Normally driven by the worker thread;
-  /// exposed so benchmarks and tests can run the pump synchronously on an
-  /// un-Started engine (same single-thread ownership rules as Start).
+  /// from the ingress rings into the engine in arrival order, advances the
+  /// virtual CPU to `now`, drains the posted in-network budget and
+  /// publishes the counters into stats(). Normally driven by the worker
+  /// thread; exposed so callers on virtual time (the cluster sim,
+  /// benchmarks, tests) can pump an un-Started engine synchronously (same
+  /// single-thread ownership rules as Start).
   void Pump(SimTime now);
 
   /// Shared observation surface (monitor thread reads, see RtSharedStats).
   RtSharedStats* stats() { return &stats_; }
-  RtSample Snapshot() const { return stats_.Snapshot(clock_->Now()); }
 
   double NominalEntryCost() const { return nominal_entry_cost_; }
   const RtEngineOptions& options() const { return options_; }

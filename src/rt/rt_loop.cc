@@ -79,6 +79,7 @@ RtLoop::RtLoop(std::vector<RtShard> shards, const RtClock* clock,
                                         options.queue_shed,
                                         options.cost_aware_shed},
                 options.telemetry),
+      predictor_(MakePredictor(options.predictor)),
       samples_(shards_.size()),
       shedder_mutexes_(new std::mutex[shards_.size()]),
       target_delay_(options.target_delay) {
@@ -90,23 +91,6 @@ RtLoop::RtLoop(std::vector<RtShard> shards, const RtClock* clock,
       shard_quanta_.push_back(s.engine->options().batch);
     }
   }
-}
-
-RtLoop::~RtLoop() { Stop(); }
-
-void RtLoop::SetDepartureObserver(DepartureCallback observer) {
-  CS_CHECK_MSG(!started_, "observer must be set before Start");
-  observer_ = std::move(observer);
-}
-
-void RtLoop::SetRatePredictor(RatePredictor* predictor) {
-  CS_CHECK_MSG(!started_, "predictor must be set before Start");
-  predictor_ = predictor;
-}
-
-void RtLoop::Start() {
-  CS_CHECK_MSG(!started_, "Start called twice");
-  started_ = true;
 
   // Departure fan-in runs on the N engine worker threads, serialized by
   // the departure mutex (uncontended at N = 1). The setpoint is re-read
@@ -121,7 +105,18 @@ void RtLoop::Start() {
       if (observer_) observer_(d);
     });
   }
+}
 
+RtLoop::~RtLoop() { Stop(); }
+
+void RtLoop::SetDepartureObserver(DepartureCallback observer) {
+  CS_CHECK_MSG(!started_, "observer must be set before Start");
+  observer_ = std::move(observer);
+}
+
+void RtLoop::Start() {
+  CS_CHECK_MSG(!started_, "Start called twice");
+  started_ = true;
   for (const RtShard& shard : shards_) shard.engine->Start();
   controller_thread_ = std::thread([this] { ControllerLoop(); });
 }
@@ -204,7 +199,7 @@ void RtLoop::ControlTick(SimTime now, double lateness_wall) {
     m = monitor_.Sample(samples_,
                         target_delay_.load(std::memory_order_relaxed));
   }
-  if (predictor_ != nullptr) m.fin_forecast = predictor_->Observe(m.fin);
+  m.fin_forecast = predictor_->Observe(m.fin);
   if (options_.adaptive_quantum) {
     // Adaptive scheduler quantum: one policy step per shard from this
     // period's delay estimate and that shard's backlog, posted through the

@@ -62,6 +62,9 @@ struct RtLoopOptions {
   /// configured batch is the quantum for the whole run, bit-identical to
   /// the fixed-quantum loop.
   bool adaptive_quantum = false;
+  /// One-step-ahead arrival-rate forecast feeding the actuator (default:
+  /// the paper's last-value estimate, Eq. 13).
+  PredictorKind predictor = PredictorKind::kLastValue;
   /// Optional telemetry session (non-owning; must outlive the loop).
   Telemetry* telemetry = nullptr;
 };
@@ -101,9 +104,10 @@ struct RtLoopOptions {
 class RtLoop {
  public:
   /// Sharded plant. All pointees must outlive the loop; shards must be
-  /// homogeneous (same nominal entry cost). The controller may be null
-  /// (open run: admit everything); per-shard shedders are required
-  /// otherwise.
+  /// homogeneous (same nominal entry cost) and not yet started, since the
+  /// loop installs its departure fan-in on each engine here. The
+  /// controller may be null (open run: admit everything); per-shard
+  /// shedders are required otherwise.
   RtLoop(std::vector<RtShard> shards, const RtClock* clock,
          LoadController* controller, RtLoopOptions options);
   ~RtLoop();
@@ -115,13 +119,14 @@ class RtLoop {
   /// worker threads, serialized by the loop). Must be called before Start.
   void SetDepartureObserver(DepartureCallback observer);
 
-  /// Installs a one-step-ahead arrival-rate predictor (controller thread
-  /// only). Must be called before Start.
-  void SetRatePredictor(RatePredictor* predictor);
-
   /// Starts the engine workers and the periodic controller thread. The
   /// clock must already be started.
   void Start();
+
+  /// The controller thread's step at trace time `now`, with zero
+  /// lateness, for callers on virtual time: pump every shard of an
+  /// un-Started loop to `now` first, as the workers would have.
+  void Tick(SimTime now) { ControlTick(now, 0.0); }
 
   /// Stops the controller thread and the engine workers. Idempotent.
   /// Stop the arrival sources first so nothing races the teardown.
@@ -191,7 +196,7 @@ class RtLoop {
   QosAccumulator qos_;
   PeriodPipeline pipeline_;
   DepartureCallback observer_;
-  RatePredictor* predictor_ = nullptr;
+  std::unique_ptr<RatePredictor> predictor_;
 
   // Actuation plane (controller thread only): the handshake sequence
   // posted to the workers, and the last aggregate queue-shed total (for

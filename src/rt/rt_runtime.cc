@@ -128,6 +128,7 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
   lopts.queue_shed = base.use_queue_shedder;
   lopts.cost_aware_shed = base.cost_aware_shedding;
   lopts.adaptive_quantum = config.batch_adaptive;
+  lopts.predictor = base.predictor;
   lopts.telemetry = telemetry.get();
   RtLoop loop(plant.shards, &clock, controller.get(), lopts);
   // Lifetime: the explicit telemetry->Stop() below shuts the server down
@@ -135,11 +136,6 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
   if (telemetry) telemetry->SetHealthSource([&loop] { return loop.Health(); });
   if (base.departure_observer) {
     loop.SetDepartureObserver(base.departure_observer);
-  }
-  std::unique_ptr<RatePredictor> predictor;
-  if (base.predictor != PredictorKind::kLastValue) {
-    predictor = MakePredictor(base.predictor);
-    loop.SetRatePredictor(predictor.get());
   }
 
   // The offered load splits evenly across N replay sources — the same
@@ -191,7 +187,7 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
   result.summary = loop.Summary();
   result.recorder = loop.recorder();
   result.arrival_trace = full_trace;
-  result.nominal_cost = base.headroom_true / base.capacity_rate;
+  result.nominal_cost = plant.engines[0]->NominalEntryCost();
   result.ring_dropped = loop.ring_dropped();
   result.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();

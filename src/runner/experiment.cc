@@ -9,13 +9,10 @@
 #include "control/baseline_controller.h"
 #include "control/ctrl_controller.h"
 #include "control/pi_controller.h"
-#include "core/feedback_loop.h"
-#include "engine/query_network.h"
 #include "runner/networks.h"
 #include "shedding/aurora_shedder.h"
 #include "shedding/entry_shedder.h"
 #include "shedding/queue_shedder.h"
-#include "sim/simulation.h"
 #include "telemetry/op_telemetry.h"
 
 namespace ctrlshed {
@@ -105,6 +102,65 @@ CostMultiplierFn CostMultiplierFor(const ExperimentConfig& config) {
   return [trace, base](SimTime t) { return trace->At(t) / base; };
 }
 
+double NominalCost(const ExperimentConfig& config) {
+  QueryNetwork net;
+  BuildIdentificationNetwork(&net, config.headroom_true / config.capacity_rate);
+  return net.MeanEntryCost();
+}
+
+FeedbackLoopOptions SimLoopOptions(const ExperimentConfig& config) {
+  FeedbackLoopOptions o;
+  o.period = config.period;
+  o.target_delay = config.target_delay;
+  o.headroom = config.headroom_est;
+  o.cost_ewma = config.cost_ewma;
+  o.estimation_noise = config.estimation_noise;
+  o.noise_seed = config.seed + 4;
+  o.adapt_headroom = config.adapt_headroom;
+  o.allow_in_network_shed =
+      config.use_queue_shedder && config.method != Method::kAurora;
+  o.cost_aware_shed = config.cost_aware_shedding;
+  o.predictor = config.predictor;
+  return o;
+}
+
+namespace {
+// The sim loop's actuator (see SimLoop). The queue shedder executes the
+// loop's in-network plans; without them it would plan its own queue
+// removal and the periods would read entry.
+std::unique_ptr<Shedder> SimActuator(const ExperimentConfig& config,
+                                     const FeedbackLoopOptions& options,
+                                     Engine* engine,
+                                     std::unique_ptr<Shedder> own) {
+  if (config.method == Method::kNone) return nullptr;
+  if (own != nullptr) return own;
+  if (options.allow_in_network_shed) {
+    return std::make_unique<QueueShedder>(engine, config.seed + 2,
+                                          config.cost_aware_shedding);
+  }
+  return MakeEntryShedder(config, 0);
+}
+}  // namespace
+
+SimLoop::SimLoop(Simulation* sim, QueryNetwork* network,
+                 const ExperimentConfig& config, FeedbackLoopOptions options,
+                 std::unique_ptr<Shedder> shedder)
+    : engine_(network, config.headroom_true,
+              MakeScheduler(config.scheduler, config.seed + 5)),
+      controller_(MakeController(config, config.headroom_est)),
+      shedder_(SimActuator(config, options, &engine_, std::move(shedder))),
+      loop_(sim, &engine_, controller_.get(), shedder_.get(), options) {
+  engine_.SetCostMultiplier(CostMultiplierFor(config));
+  sim->AttachProcess(&engine_);
+  if (config.departure_observer) {
+    loop_.SetDepartureObserver(config.departure_observer);
+  }
+  loop_.Start();
+  for (const auto& [when, yd] : config.setpoint_schedule) {
+    sim->Schedule(when, [this, yd = yd]() { loop_.SetTargetDelay(yd); });
+  }
+}
+
 ExperimentResult RunExperiment(const ExperimentConfig& config) {
   CS_CHECK_MSG(ExperimentConfigError(config).empty(),
                "invalid config (validate with ExperimentConfigError first)");
@@ -116,17 +172,14 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
       telemetry ? telemetry->RegisterThread("sim.main") : nullptr;
   ScopedSpan phase(trace_buf, "build_plant");
 
-  // The model constant c: at nominal cost the engine sustains exactly
-  // `capacity_rate` tuples/s, i.e. c = H_true / capacity.
-  const double nominal_cost = config.headroom_true / config.capacity_rate;
-
+  // At nominal cost the engine sustains exactly `capacity_rate` tuples/s.
   Simulation sim;
   QueryNetwork net;
-  BuildIdentificationNetwork(&net, nominal_cost);
-  Engine engine(&net, config.headroom_true,
-                MakeScheduler(config.scheduler, config.seed + 5));
-  engine.SetCostMultiplier(CostMultiplierFor(config));
-  sim.AttachProcess(&engine);
+  BuildIdentificationNetwork(&net, config.headroom_true / config.capacity_rate);
+  FeedbackLoopOptions loop_opts = SimLoopOptions(config);
+  loop_opts.telemetry = telemetry.get();
+  SimLoop plant(&sim, &net, config, loop_opts);
+  FeedbackLoop& loop = plant.loop();
 
   // Operator-granular instrumentation: op:<name> spans on the sim track,
   // per-operator processed/dropped counters for /metrics.
@@ -134,7 +187,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   if (telemetry) {
     op_telemetry =
         std::make_unique<OperatorTelemetry>(telemetry.get(), trace_buf, net);
-    engine.SetObserver(op_telemetry.get());
+    plant.engine().SetObserver(op_telemetry.get());
     const double duration = config.duration;
     const double period = config.period;
     telemetry->SetStatusSource([duration, period] {
@@ -144,47 +197,9 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
                     duration, period);
       return std::string(buf);
     });
-  }
-
-  std::unique_ptr<LoadController> controller =
-      MakeController(config, config.headroom_est);
-  const bool in_network =
-      config.use_queue_shedder && config.method != Method::kAurora;
-  std::unique_ptr<Shedder> shedder;
-  if (controller != nullptr && in_network) {
-    shedder = std::make_unique<QueueShedder>(&engine, config.seed + 2,
-                                             config.cost_aware_shedding);
-  } else if (controller != nullptr) {
-    shedder = MakeEntryShedder(config, 0);
-  }
-
-  FeedbackLoopOptions loop_opts;
-  loop_opts.period = config.period;
-  loop_opts.target_delay = config.target_delay;
-  loop_opts.headroom = config.headroom_est;
-  loop_opts.cost_ewma = config.cost_ewma;
-  loop_opts.estimation_noise = config.estimation_noise;
-  loop_opts.noise_seed = config.seed + 4;
-  loop_opts.adapt_headroom = config.adapt_headroom;
-  loop_opts.allow_in_network_shed = in_network;
-  loop_opts.cost_aware_shed = config.cost_aware_shedding;
-  loop_opts.telemetry = telemetry.get();
-  FeedbackLoop loop(&sim, &engine, controller.get(), shedder.get(), loop_opts);
-  // Lifetime: the explicit telemetry->Stop() below shuts the server down
-  // before `loop` leaves scope (failures abort, never unwind).
-  if (telemetry) telemetry->SetHealthSource([&loop] { return loop.Health(); });
-  if (config.departure_observer) {
-    loop.SetDepartureObserver(config.departure_observer);
-  }
-  std::unique_ptr<RatePredictor> predictor;
-  if (config.predictor != PredictorKind::kLastValue) {
-    predictor = MakePredictor(config.predictor);
-    loop.SetRatePredictor(predictor.get());
-  }
-  loop.Start();
-
-  for (const auto& [when, yd] : config.setpoint_schedule) {
-    sim.Schedule(when, [&loop, yd = yd]() { loop.SetTargetDelay(yd); });
+    // Lifetime: the explicit telemetry->Stop() below shuts the server down
+    // before `loop` leaves scope (failures abort, never unwind).
+    telemetry->SetHealthSource([&loop] { return loop.Health(); });
   }
 
   ArrivalSource source(0, BuildArrivalTrace(config), config.spacing,
@@ -199,7 +214,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   result.summary = loop.Summary();
   result.recorder = loop.recorder();
   result.arrival_trace = source.trace();
-  result.nominal_cost = nominal_cost;
+  result.nominal_cost = plant.engine().NominalEntryCost();
   result.health = loop.Health();
   phase.Next(nullptr);
 

@@ -10,10 +10,13 @@
 #include "control/ctrl_controller.h"
 #include "control/pole_placement.h"
 #include "control/rate_predictor.h"
+#include "core/feedback_loop.h"
 #include "engine/engine.h"
+#include "engine/query_network.h"
 #include "metrics/qos_metrics.h"
 #include "metrics/recorder.h"
 #include "shedding/shedder.h"
+#include "sim/simulation.h"
 #include "telemetry/health.h"
 #include "telemetry/telemetry.h"
 #include "workload/arrival_source.h"
@@ -117,8 +120,8 @@ struct ExperimentResult {
 /// on a non-empty result; the runners CS_CHECK it.
 std::string ExperimentConfigError(const ExperimentConfig& config);
 
-/// Builds the standard plant (identification network + engine + workload +
-/// chosen controller/shedder), runs it for `config.duration` simulated
+/// Builds the identification network and a SimLoop over it, feeds it the
+/// workload `config` describes, runs it for `config.duration` simulated
 /// seconds, and returns the metrics.
 ExperimentResult RunExperiment(const ExperimentConfig& config);
 
@@ -146,6 +149,44 @@ std::unique_ptr<Shedder> MakeEntryShedder(const ExperimentConfig& config,
 /// seed + 1, owned by the returned function and read-only, so copies may
 /// run on any thread. Empty when `vary_cost` is off.
 CostMultiplierFn CostMultiplierFor(const ExperimentConfig& config);
+
+/// The model constant c (Eq. 2/11) of `config`'s plant: the mean entry
+/// cost of its identification network, i.e. what every engine over that
+/// network reports as NominalEntryCost(). For runners holding no engine.
+double NominalCost(const ExperimentConfig& config);
+
+/// The FeedbackLoop options of `config`: T, yd, H, cost smoothing and
+/// noise (seeded seed + 4), headroom adaptation, the rate predictor, and
+/// in-network plans when `use_queue_shedder` is set and the method is not
+/// Aurora.
+FeedbackLoopOptions SimLoopOptions(const ExperimentConfig& config);
+
+/// The sim's Fig. 3 loop over a caller's finalized network, as
+/// RunExperiment and StreamSystem assemble it: an Engine attached to `sim`
+/// (H_true, `config.scheduler` seeded seed + 5, the Fig. 14 cost
+/// multiplier), MakeController's controller, the actuator, a started
+/// FeedbackLoop with the departure observer, and the setpoint schedule.
+/// The actuator is the caller's `shedder` if given, else a QueueShedder
+/// (seed + 2) when `options` plan in-network, else MakeEntryShedder(config,
+/// 0); none without a controller. Feed arrivals to loop().OnArrival.
+class SimLoop {
+ public:
+  /// `sim` and `network` must outlive the loop.
+  SimLoop(Simulation* sim, QueryNetwork* network,
+          const ExperimentConfig& config, FeedbackLoopOptions options,
+          std::unique_ptr<Shedder> shedder = nullptr);
+  SimLoop(const SimLoop&) = delete;
+  SimLoop& operator=(const SimLoop&) = delete;
+
+  Engine& engine() { return engine_; }
+  FeedbackLoop& loop() { return loop_; }
+
+ private:
+  Engine engine_;
+  std::unique_ptr<LoadController> controller_;
+  std::unique_ptr<Shedder> shedder_;
+  FeedbackLoop loop_;
+};
 
 }  // namespace ctrlshed
 

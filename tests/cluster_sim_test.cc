@@ -17,15 +17,10 @@
 #include <string>
 #include <vector>
 
-#include "control/ctrl_controller.h"
-#include "control/period_math.h"
-#include "engine/engine.h"
-#include "engine/query_network.h"
 #include "metrics/recorder.h"
-#include "rt/rt_monitor.h"
-#include "rt/rt_stats.h"
-#include "runner/networks.h"
-#include "shedding/entry_shedder.h"
+#include "rt/rt_clock.h"
+#include "rt/rt_loop.h"
+#include "rt/rt_runtime.h"
 #include "sim/simulation.h"
 #include "telemetry/metrics_registry.h"
 #include "telemetry/prom_export.h"
@@ -45,124 +40,49 @@ ExperimentConfig BaseConfig() {
 }
 
 // --- Single-process reference ----------------------------------------------
-// RtLoop::ControlTick transplanted onto the sim substrate: the same shard
-// plants the cluster sim builds (cluster-wide seed/trace conventions at
-// nodes=1 reduce to the plain sharded ones), one RtMonitor, one
-// CtrlController, the proportional shard fan-out, NotifyActuation in the
-// same call chain. No cluster machinery anywhere.
-
-struct RefShard {
-  std::unique_ptr<QueryNetwork> net;
-  std::unique_ptr<Engine> engine;
-  std::unique_ptr<EntryShedder> shedder;
-  std::unique_ptr<ArrivalSource> source;
-  uint64_t offered = 0;
-  uint64_t entry_shed = 0;
-  double delay_sum = 0.0;
-  uint64_t delay_count = 0;
-};
+// The production RtLoop over the same plant the socket runtime builds
+// (BuildRtPlant, MakeController), driven on virtual time: sources admit
+// through OnArrival and pump their shard at each arrival, and each period
+// boundary pumps every shard and runs RtLoop::Tick. No cluster machinery
+// anywhere.
 
 Recorder RunSingleProcessReference(const ExperimentConfig& base, int workers) {
-  const double nominal_cost = base.headroom_true / base.capacity_rate;
-  Simulation sim;
+  RtClock clock;  // never started: the simulation drives every pump
+  const RtPlant plant =
+      BuildRtPlant(base, workers, /*pin_cpus=*/"", RtEngineOptions{}, &clock);
+  std::unique_ptr<LoadController> controller =
+      MakeController(base, static_cast<double>(workers) * base.headroom_est);
+  RtLoopOptions lopts;
+  lopts.period = base.period;
+  lopts.target_delay = base.target_delay;
+  lopts.headroom = base.headroom_est;
+  lopts.cost_ewma = base.cost_ewma;
+  lopts.adapt_headroom = base.adapt_headroom;
+  RtLoop loop(plant.shards, &clock, controller.get(), lopts);
 
+  Simulation sim;
   const RateTrace full_trace = BuildArrivalTrace(base);
-  std::vector<RefShard> shards(static_cast<size_t>(workers));
+  std::vector<std::unique_ptr<ArrivalSource>> sources;
   for (int w = 0; w < workers; ++w) {
-    RefShard& shard = shards[static_cast<size_t>(w)];
-    shard.net = std::make_unique<QueryNetwork>();
-    BuildIdentificationNetwork(shard.net.get(), nominal_cost);
-    shard.engine = std::make_unique<Engine>(shard.net.get(), base.headroom_true);
-    sim.AttachProcess(shard.engine.get());
-    shard.shedder = std::make_unique<EntryShedder>(
-        base.seed + 2 + 7919 * static_cast<uint64_t>(w));
-    shard.source = std::make_unique<ArrivalSource>(
+    sources.push_back(std::make_unique<ArrivalSource>(
         w,
         workers == 1 ? full_trace
                      : full_trace.Scaled(1.0 / static_cast<double>(workers)),
-        base.spacing, base.seed + 3 + static_cast<uint64_t>(w));
-    shard.engine->SetDepartureCallback([&shard](const Departure& d) {
-      shard.delay_sum += d.depart_time - d.arrival_time;
-      ++shard.delay_count;
+        base.spacing, base.seed + 3 + static_cast<uint64_t>(w)));
+    RtEngine* engine = plant.engines[static_cast<size_t>(w)].get();
+    sources.back()->Start(&sim, [&loop, engine](const Tuple& t) {
+      loop.OnArrival(t);
+      engine->Pump(t.arrival_time);
     });
   }
-
-  RtMonitorOptions mo;
-  mo.period = base.period;
-  mo.headroom = base.headroom_est;
-  mo.cost_ewma = base.cost_ewma;
-  mo.adapt_headroom = base.adapt_headroom;
-  RtMonitor monitor(nominal_cost, workers, mo);
-
-  CtrlOptions co;
-  co.gains = base.gains;
-  co.headroom = static_cast<double>(workers) * base.headroom_est;
-  co.feedback = base.ctrl_feedback;
-  co.anti_windup = base.anti_windup;
-  CtrlController controller(co);
-
-  for (RefShard& shard_ref : shards) {
-    RefShard* shard = &shard_ref;
-    shard->source->Start(&sim, [shard](const Tuple& t) {
-      ++shard->offered;
-      if (!shard->shedder->Admit(t)) {
-        ++shard->entry_shed;
-        return;
-      }
-      Tuple local = t;
-      local.source = 0;
-      shard->engine->Inject(local, local.arrival_time);
-    });
-  }
-
-  Recorder recorder;
   sim.ScheduleEvery(base.period, base.period, [&](SimTime t) {
-    std::vector<RtSample> samples;
-    samples.reserve(shards.size());
-    for (const RefShard& shard : shards) {
-      RtSample s;
-      s.now = t;
-      s.offered = shard.offered;
-      s.entry_shed = shard.entry_shed;
-      s.ring_dropped = 0;
-      const EngineCounters& c = shard.engine->counters();
-      s.admitted = c.admitted;
-      s.departed = c.departed;
-      s.queue_shed = c.shed_lineages;
-      s.queue_shed_load = c.shed_base_load;
-      s.busy_seconds = c.busy_seconds;
-      s.drained_base_load = c.drained_base_load;
-      s.queued_tuples = shard.engine->QueuedTuples();
-      s.outstanding_base_load = shard.engine->OutstandingBaseLoad();
-      s.delay_sum = shard.delay_sum;
-      s.delay_count = shard.delay_count;
-      samples.push_back(s);
-    }
-    const PeriodMeasurement m = monitor.Sample(samples, base.target_delay);
-    const double v = controller.DesiredRate(m);
-
-    const std::vector<double>& shard_fin = monitor.shard_fin();
-    const std::vector<double>& shard_queues = monitor.shard_queues();
-    const std::vector<double> shares = ProportionalShares(shard_fin);
-    double applied = 0.0;
-    double alpha = 0.0;
-    for (size_t i = 0; i < shards.size(); ++i) {
-      const double share = shares[i];
-      PeriodMeasurement mi = m;
-      mi.fin = shard_fin[i];
-      mi.fin_forecast = m.fin_forecast * share;
-      mi.admitted = m.admitted * share;
-      mi.queue = shard_queues[i];
-      applied += shards[i].shedder->Configure(v * share, mi);
-      alpha += share * shards[i].shedder->drop_probability();
-    }
-    controller.NotifyActuation(applied);
-    recorder.Record(PeriodRecord{m, v, alpha});
+    for (const auto& engine : plant.engines) engine->Pump(t);
+    loop.Tick(t);
     return true;
   });
 
   sim.Run(base.duration);
-  return recorder;
+  return loop.recorder();
 }
 
 double MaxAlpha(const Recorder& r) {
