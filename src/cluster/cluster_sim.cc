@@ -27,7 +27,6 @@ struct SimNode {
   uint32_t id = 0;
   bool dead = false;
   RtPlant plant;
-  std::vector<std::unique_ptr<ArrivalSource>> sources;
   std::unique_ptr<NodeAgent> agent;
   std::mutex mu;  ///< AdmitToShard's shedder lock (uncontended here).
   uint64_t plan_seq = 0;
@@ -54,7 +53,6 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
   CS_CHECK_MSG(ExperimentConfigError(base).empty(),
                "invalid config (validate with ExperimentConfigError first)");
 
-  const int total_shards = config.nodes * config.workers_per_node;
   const double nominal_cost = NominalCost(base);
 
   Simulation sim;
@@ -63,9 +61,10 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
 
   // --- Plants: N nodes, each the socket node's W-shard plant ------------
   // Shedder and victim seeds are node-local, as in every `ctrlshed node`
-  // process; arrival seeds and trace slices take the shard index
-  // cluster-wide, so nodes=1 replays the rt runtime's streams exactly.
-  const RateTrace full_trace = BuildArrivalTrace(base);
+  // process; the arrival split takes the shard index cluster-wide (shard g
+  // replays stream g), so nodes=1 replays the rt runtime's streams exactly.
+  std::vector<ArrivalSource> sources =
+      ArrivalSourcesFor(base, config.nodes * config.workers_per_node);
   std::vector<std::unique_ptr<SimNode>> nodes;
   nodes.reserve(static_cast<size_t>(config.nodes));
   for (int n = 0; n < config.nodes; ++n) {
@@ -73,16 +72,9 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
     node->id = static_cast<uint32_t>(n);
     node->plant = BuildRtPlant(base, config.workers_per_node, /*pin_cpus=*/"",
                                RtEngineOptions{}, &clock);
-    for (int w = 0; w < config.workers_per_node; ++w) {
-      const int g = n * config.workers_per_node + w;  // cluster-wide index
-      node->plant.engines[static_cast<size_t>(w)]->SetDepartureCallback(
+    for (const auto& engine : node->plant.engines) {
+      engine->SetDepartureCallback(
           [&qos](const Departure& d) { qos.OnDeparture(d); });
-      node->sources.push_back(std::make_unique<ArrivalSource>(
-          g,
-          total_shards == 1
-              ? full_trace
-              : full_trace.Scaled(1.0 / static_cast<double>(total_shards)),
-          base.spacing, base.seed + 3 + static_cast<uint64_t>(g)));
     }
     std::vector<Shedder*> shedders;
     for (const RtShard& shard : node->plant.shards) {
@@ -137,11 +129,11 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
   // --- Arrivals ----------------------------------------------------------
   // Each arrival is admitted and pumped at its own time: at quantum 1 the
   // engine sees every tuple at its arrival with the shedder's same draws.
+  size_t g = 0;  // cluster-wide shard index
   for (const auto& node_ptr : nodes) {
     SimNode* node = node_ptr.get();
-    for (size_t w = 0; w < node->sources.size(); ++w) {
-      const RtShard shard = node->plant.shards[w];
-      node->sources[w]->Start(&sim, [node, shard](const Tuple& t) {
+    for (const RtShard& shard : node->plant.shards) {
+      sources[g++].Start(&sim, [node, shard](const Tuple& t) {
         // A dead node's producers write into a closed socket: the tuples
         // vanish before any counter on the node side sees them.
         if (node->dead) return;

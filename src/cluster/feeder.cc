@@ -4,6 +4,7 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -31,19 +32,14 @@ ClusterFeedResult RunClusterFeeder(const ClusterFeedConfig& config) {
 
   RtClock clock(config.time_compression);
 
-  const RateTrace full_trace = BuildArrivalTrace(base);
-  const double per_stream_scale =
-      config.rate_scale / static_cast<double>(config.sources);
   std::atomic<uint64_t> tuples_sent{0};
   std::atomic<uint64_t> frames_sent{0};
   std::vector<std::unique_ptr<RtArrivalSource>> streams;
-  for (int i = 0; i < config.sources; ++i) {
-    const RateTrace trace = per_stream_scale == 1.0
-                                ? full_trace
-                                : full_trace.Scaled(per_stream_scale);
-    streams.push_back(std::make_unique<RtArrivalSource>(
-        static_cast<int>(config.source_id) + i, trace, base.spacing,
-        base.seed + 3 + static_cast<uint64_t>(i)));
+  for (ArrivalSource& stream :
+       ArrivalSourcesFor(base, config.sources,
+                         static_cast<int>(config.source_id),
+                         config.rate_scale)) {
+    streams.push_back(std::make_unique<RtArrivalSource>(std::move(stream)));
   }
 
   const auto wall_start = std::chrono::steady_clock::now();

@@ -63,14 +63,6 @@ void RtEngine::Stop() {
   if (worker_.joinable()) worker_.join();
 }
 
-bool RtEngine::Offer(const Tuple& t) {
-  CS_CHECK_MSG(t.source >= 0 && t.source < num_sources(),
-               "tuple source out of range");
-  if (rings_[static_cast<size_t>(t.source)]->TryPush(t)) return true;
-  stats_.ring_dropped.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
 size_t RtEngine::OfferBatch(const Tuple* tuples, size_t n) {
   if (n == 0) return 0;
   const int source = tuples[0].source;

@@ -90,10 +90,11 @@ struct RtEngineOptions {
 /// reused verbatim; the engine object itself is never touched by any other
 /// thread.
 ///
-/// Ingress is lock-free: producers call Offer() (one designated thread per
-/// source index) which pushes into that source's ring; a full ring rejects
-/// the tuple and the drop is counted into the shared stats — overflow is
-/// load shedding the controller must account for.
+/// Ingress is lock-free: producers call OfferBatch() through AdmitToShard
+/// (one designated thread per source index), which pushes into that
+/// source's ring; a full ring rejects the tuples and the drop is counted
+/// into the shared stats — overflow is load shedding the controller must
+/// account for.
 class RtEngine {
  public:
   /// `network` must be finalized and outlive the engine; `clock` must be
@@ -117,15 +118,10 @@ class RtEngine {
   /// Idempotent.
   void Stop();
 
-  /// Ingress: pushes `t` into the ring of `t.source`. At most one thread
-  /// per source index may call this. Returns false when the ring is full
-  /// (the drop has already been counted).
-  bool Offer(const Tuple& t);
-
-  /// Batched ingress: pushes `n` tuples — all with the same `source` —
-  /// into that source's ring with one index publish. Returns how many were
-  /// accepted; the rejected tail has already been counted as ring drops.
-  /// Same producer contract as Offer.
+  /// Ingress: pushes `n` tuples — all with the same `source` — into that
+  /// source's ring with one index publish. At most one thread per source
+  /// index may call this. Returns how many were accepted; the rejected
+  /// tail has already been counted as ring drops.
   size_t OfferBatch(const Tuple* tuples, size_t n);
 
   /// One drain-and-advance step: moves every due tuple (arrival <= `now`)

@@ -138,18 +138,11 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
     loop.SetDepartureObserver(base.departure_observer);
   }
 
-  // The offered load splits evenly across N replay sources — the same
-  // aggregate trace, each source drawing its 1/N slice with its own seed.
-  // At N = 1 the trace is passed through unscaled (identical arrivals to
-  // the historical runtime).
-  const RateTrace full_trace = BuildArrivalTrace(base);
+  // The offered load splits evenly across N replay sources, each driving
+  // the sim's arrival process for its 1/N slice.
   std::vector<std::unique_ptr<RtArrivalSource>> sources;
-  for (int i = 0; i < workers; ++i) {
-    const RateTrace trace =
-        workers == 1 ? full_trace
-                     : full_trace.Scaled(1.0 / static_cast<double>(workers));
-    sources.push_back(std::make_unique<RtArrivalSource>(
-        i, trace, base.spacing, base.seed + 3 + i));
+  for (ArrivalSource& stream : ArrivalSourcesFor(base, workers)) {
+    sources.push_back(std::make_unique<RtArrivalSource>(std::move(stream)));
     sources.back()->SetTelemetry(telemetry.get());
   }
 
@@ -186,7 +179,6 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
   RtRunResult result;
   result.summary = loop.Summary();
   result.recorder = loop.recorder();
-  result.arrival_trace = full_trace;
   result.nominal_cost = plant.engines[0]->NominalEntryCost();
   result.ring_dropped = loop.ring_dropped();
   result.wall_seconds =

@@ -14,7 +14,6 @@
 #include "rt/rt_loop.h"
 #include "runner/experiment.h"
 #include "telemetry/health.h"
-#include "workload/rate_trace.h"
 
 namespace ctrlshed {
 
@@ -55,11 +54,11 @@ struct RtRunConfig {
   std::string pin_cpus;
 
   /// Worker shards the plant is partitioned across (see RtLoop). The
-  /// offered-rate trace is split evenly: N replay sources, each driving
-  /// its own shard with the base trace scaled by 1/N (independent arrival
-  /// draws per source), so the aggregate offered load matches the
-  /// unsharded run. 1 = the historical single-worker runtime, bit for
-  /// bit.
+  /// offered-rate trace is split evenly (ArrivalSourcesFor): N replay
+  /// sources, each driving its own shard with the base trace scaled by
+  /// 1/N (independent arrival draws per source), so the aggregate offered
+  /// load matches the unsharded run. 1 = the historical single-worker
+  /// runtime, bit for bit.
   int workers = 1;
 
   /// Optional early-stop flag (e.g. set by a SIGINT handler). The main
@@ -91,8 +90,7 @@ struct RtShardSummary {
 /// the rt-specific accounting.
 struct RtRunResult {
   QosSummary summary;
-  Recorder recorder;        ///< Per-period closed-loop trace.
-  RateTrace arrival_trace;  ///< The offered-rate trace that was replayed.
+  Recorder recorder;  ///< Per-period closed-loop trace.
   double nominal_cost = 0.0;
 
   uint64_t ring_dropped = 0;  ///< Ingress-ring overflow drops (in `shed`).

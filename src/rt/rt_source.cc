@@ -9,14 +9,8 @@
 
 namespace ctrlshed {
 
-RtArrivalSource::RtArrivalSource(int source_index, RateTrace trace,
-                                 ArrivalSource::Spacing spacing, uint64_t seed)
-    : source_index_(source_index),
-      trace_(std::move(trace)),
-      spacing_(spacing),
-      rng_(seed) {
-  CS_CHECK_MSG(!trace_.empty(), "arrival source needs a non-empty trace");
-}
+RtArrivalSource::RtArrivalSource(ArrivalSource stream)
+    : stream_(std::move(stream)) {}
 
 RtArrivalSource::~RtArrivalSource() { Stop(); }
 
@@ -44,48 +38,34 @@ void RtArrivalSource::Stop() {
 void RtArrivalSource::Run() {
   using Clock = std::chrono::steady_clock;
   if (telemetry_ != nullptr) {
-    trace_buf_ = telemetry_->RegisterThread("rt.source" +
-                                            std::to_string(source_index_));
+    trace_buf_ = telemetry_->RegisterThread(
+        "rt.source" + std::to_string(stream_.source_index()));
   }
-  SimTime t = ArrivalSource::NextArrival(trace_, spacing_, rng_, 0.0);
-  const SimTime end = trace_.Duration();
+  const SimTime end = stream_.trace().Duration();
   const auto stopping = [this] {
     return stop_.load(std::memory_order_acquire);
   };
 
-  while (!stopping() && t <= end) {
+  while (!stopping() && stream_.next() <= end) {
     // Sleep (in interruptible chunks) until the arrival is due; arrivals
     // already in the past are delivered immediately, in order — the replay
     // catches up rather than silently thinning the trace.
-    SleepUntilWall(clock_->WallDeadline(t), stopping);
+    SleepUntilWall(clock_->WallDeadline(stream_.next()), stopping);
     if (stopping()) break;
 
     // Gather every arrival that is already due into one batch: on-time
-    // replay wakes per arrival (n == 1, the seed-identical path), while a
-    // catch-up burst after an oversleep moves in bulk. The payload rng
-    // draws stay per tuple in the seed's order, so the generated stream
-    // is identical regardless of how it is chunked.
+    // replay wakes per arrival (n == 1), while a catch-up burst after an
+    // oversleep moves in bulk. The stream is the same however it is
+    // chunked.
     Tuple batch[kRtArrivalBatchMax];
     size_t n = 0;
-    for (;;) {
-      Tuple& tup = batch[n];
-      tup = Tuple{};
-      tup.source = source_index_;
-      tup.arrival_time = t;
-      tup.value = rng_.Uniform();
-      tup.aux = rng_.Uniform();
-      ++n;
-      t = ArrivalSource::NextArrival(trace_, spacing_, rng_, t);
-      if (n == kRtArrivalBatchMax || t > end) break;
-      if (Clock::now() < clock_->WallDeadline(t)) break;
-    }
-    {
-      ScopedSpan span(trace_buf_, "deliver");
-      sink_(batch, n);
-    }
-    generated_.fetch_add(n, std::memory_order_relaxed);
+    do {
+      batch[n++] = stream_.Pop();
+    } while (n < kRtArrivalBatchMax && stream_.next() <= end &&
+             Clock::now() >= clock_->WallDeadline(stream_.next()));
+    ScopedSpan span(trace_buf_, "deliver");
+    sink_(batch, n);
   }
-  exhausted_.store(true, std::memory_order_release);
 }
 
 }  // namespace ctrlshed

@@ -2,15 +2,13 @@
 #define CTRLSHED_RT_RT_SOURCE_H_
 
 #include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <thread>
 
-#include "common/rng.h"
 #include "engine/tuple.h"
 #include "rt/rt_clock.h"
 #include "workload/arrival_source.h"
-#include "workload/rate_trace.h"
 
 namespace ctrlshed {
 
@@ -28,11 +26,11 @@ inline constexpr size_t kRtArrivalBatchMax = 64;
 /// one source in arrival order.
 using RtBatchSink = std::function<void(const Tuple* tuples, size_t n)>;
 
-/// Replays one stream's rate trace against the wall clock: a thread that
-/// draws the same arrival process as the sim-side ArrivalSource (same
-/// spacing modes, same slot-boundary thinning, same payload distribution)
-/// and delivers each tuple at its wall deadline — trace time mapped
-/// through the RtClock's compression factor.
+/// Replays one stream's arrival process against the wall clock: a thread
+/// that drives the sim's own ArrivalSource, delivering each tuple at its
+/// wall deadline — trace time mapped through the RtClock's compression
+/// factor. The tuples are the ones the sim's event-driven replay of the
+/// same source would deliver.
 ///
 /// The sink runs on this source's thread; with one RtArrivalSource per
 /// source index the per-source SPSC ingress contract holds by
@@ -42,8 +40,7 @@ using RtBatchSink = std::function<void(const Tuple* tuples, size_t n)>;
 /// oversleeps.
 class RtArrivalSource {
  public:
-  RtArrivalSource(int source_index, RateTrace trace,
-                  ArrivalSource::Spacing spacing, uint64_t seed);
+  explicit RtArrivalSource(ArrivalSource stream);
   ~RtArrivalSource();
 
   RtArrivalSource(const RtArrivalSource&) = delete;
@@ -61,32 +58,15 @@ class RtArrivalSource {
   /// Signals the thread and joins it. Idempotent.
   void Stop();
 
-  /// True once the trace has been replayed to its end.
-  bool exhausted() const { return exhausted_.load(std::memory_order_acquire); }
-
-  /// Tuples delivered so far (monotonic, any thread may read).
-  uint64_t generated() const {
-    return generated_.load(std::memory_order_relaxed);
-  }
-
-  int source_index() const { return source_index_; }
-  const RateTrace& trace() const { return trace_; }
-
  private:
   void Run();
 
-  int source_index_;
-  RateTrace trace_;
-  ArrivalSource::Spacing spacing_;
-  Rng rng_;
-
+  ArrivalSource stream_;  ///< Replay-thread-owned once started.
   const RtClock* clock_ = nullptr;
   RtBatchSink sink_;
   Telemetry* telemetry_ = nullptr;
   TraceBuffer* trace_buf_ = nullptr;  ///< Replay-thread-owned.
   std::atomic<bool> stop_{false};
-  std::atomic<bool> exhausted_{false};
-  std::atomic<uint64_t> generated_{0};
   std::thread thread_;
   bool started_ = false;
 };

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/macros.h"
 #include "control/aurora_controller.h"
@@ -38,6 +39,23 @@ RateTrace BuildArrivalTrace(const ExperimentConfig& config) {
   }
   CS_CHECK_MSG(false, "unknown workload kind");
   return RateTrace();
+}
+
+std::vector<ArrivalSource> ArrivalSourcesFor(const ExperimentConfig& config,
+                                             int n, int first_index,
+                                             double rate_scale) {
+  CS_CHECK_MSG(n >= 1, "need at least one arrival source");
+  const RateTrace full = BuildArrivalTrace(config);
+  const double scale = rate_scale / static_cast<double>(n);
+  std::vector<ArrivalSource> sources;
+  sources.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    sources.emplace_back(first_index + i,
+                         scale == 1.0 ? full : full.Scaled(scale),
+                         config.spacing,
+                         config.seed + 3 + static_cast<uint64_t>(i));
+  }
+  return sources;
 }
 
 std::string ExperimentConfigError(const ExperimentConfig& config) {
@@ -202,8 +220,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     telemetry->SetHealthSource([&loop] { return loop.Health(); });
   }
 
-  ArrivalSource source(0, BuildArrivalTrace(config), config.spacing,
-                       config.seed + 3);
+  ArrivalSource source = std::move(ArrivalSourcesFor(config, 1)[0]);
   source.Start(&sim, [&loop](const Tuple& t) { loop.OnArrival(t); });
 
   phase.Next("simulate");

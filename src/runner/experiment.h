@@ -129,6 +129,15 @@ ExperimentResult RunExperiment(const ExperimentConfig& config);
 /// exposed for the Fig. 13 trace plots).
 RateTrace BuildArrivalTrace(const ExperimentConfig& config);
 
+/// The run's stream split, which the sim, rt, cluster sim and `ctrlshed
+/// feed` all replay: `n` sources, source i with index first_index + i and
+/// seed seed + 3 + i, its trace the aggregate trace scaled by
+/// rate_scale / n (unscaled when that is 1.0). At n = 1 this is the sim's
+/// one source.
+std::vector<ArrivalSource> ArrivalSourcesFor(const ExperimentConfig& config,
+                                             int n, int first_index = 0,
+                                             double rate_scale = 1.0);
+
 // --- The run recipe every runner (sim, rt, cluster) assembles from --------
 
 /// The CTRL controller options of `config`, believing headroom `headroom`.

@@ -1,5 +1,6 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/macros.h"
@@ -7,20 +8,20 @@
 namespace ctrlshed {
 
 void EventQueue::Push(SimTime t, std::function<void()> action) {
-  heap_.push(Event{t, next_seq_++, std::move(action)});
+  heap_.push_back(Event{t, next_seq_++, std::move(action)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 SimTime EventQueue::NextTime() const {
   CS_CHECK_MSG(!heap_.empty(), "NextTime on empty queue");
-  return heap_.top().time;
+  return heap_.front().time;
 }
 
 Event EventQueue::Pop() {
   CS_CHECK_MSG(!heap_.empty(), "Pop on empty queue");
-  // priority_queue::top is const; moving requires a copy here. Events are
-  // popped once per schedule so the copy of the std::function is acceptable.
-  Event e = heap_.top();
-  heap_.pop();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event e = std::move(heap_.back());
+  heap_.pop_back();
   return e;
 }
 

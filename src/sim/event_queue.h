@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -19,7 +18,8 @@ struct Event {
 
 /// Min-heap of events ordered by (time, insertion sequence). The sequence
 /// tie-breaker makes simulations deterministic when several events share a
-/// timestamp.
+/// timestamp. Popped events are moved out, so an action held in
+/// std::function's small buffer never touches the heap allocator.
 class EventQueue {
  public:
   EventQueue() = default;
@@ -46,7 +46,7 @@ class EventQueue {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::vector<Event> heap_;  ///< A heap under Later (push_heap/pop_heap).
   uint64_t next_seq_ = 0;
 };
 

@@ -15,16 +15,17 @@ void Simulation::Schedule(SimTime t, std::function<void()> action) {
 void Simulation::ScheduleEvery(SimTime first, SimTime period,
                                std::function<bool(SimTime)> action) {
   CS_CHECK_MSG(period > 0.0, "period must be positive");
-  auto shared = std::make_shared<std::function<bool(SimTime)>>(std::move(action));
-  // Self-rescheduling wrapper. The recursive lambda owns the user callback
-  // via shared_ptr so each rescheduled copy stays cheap.
-  std::function<void()> tick = [this, shared, period]() {
-    if ((*shared)(now_)) {
-      SimTime next = now_ + period;
-      ScheduleEvery(next, period, *shared);
-    }
-  };
-  queue_.Push(first, std::move(tick));
+  periodic_.push_back(
+      std::make_unique<Periodic>(Periodic{period, std::move(action)}));
+  PushTick(first, periodic_.back().get());
+}
+
+void Simulation::PushTick(SimTime t, Periodic* p) {
+  // The tick captures two pointers, so it stays in std::function's small
+  // buffer: a period tick allocates nothing.
+  queue_.Push(t, [this, p] {
+    if (p->action(now_)) PushTick(now_ + p->period, p);
+  });
 }
 
 void Simulation::AttachProcess(Process* p) {

@@ -2,6 +2,7 @@
 #define CTRLSHED_SIM_SIMULATION_H_
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -36,7 +37,8 @@ class Simulation {
   void Schedule(SimTime t, std::function<void()> action);
 
   /// Schedules `action(t)` at `first`, then every `period` as long as the
-  /// callback returns true.
+  /// callback returns true. The simulation owns the callback; each tick
+  /// re-schedules the next one right after the callback returns.
   void ScheduleEvery(SimTime first, SimTime period,
                      std::function<bool(SimTime)> action);
 
@@ -48,9 +50,16 @@ class Simulation {
   void Run(SimTime end);
 
  private:
+  struct Periodic {
+    SimTime period;
+    std::function<bool(SimTime)> action;
+  };
+  void PushTick(SimTime t, Periodic* p);
+
   SimTime now_ = 0.0;
   EventQueue queue_;
   std::vector<Process*> processes_;
+  std::vector<std::unique_ptr<Periodic>> periodic_;
 };
 
 }  // namespace ctrlshed

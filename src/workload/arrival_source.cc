@@ -19,30 +19,30 @@ ArrivalSource::ArrivalSource(int source_index, RateTrace trace, Spacing spacing,
       spacing_(spacing),
       rng_(seed) {
   CS_CHECK_MSG(!trace_.empty(), "arrival source needs a non-empty trace");
+  next_ = NextArrival(0.0);
 }
 
-SimTime ArrivalSource::NextArrival(const RateTrace& trace, Spacing spacing,
-                                   Rng& rng, SimTime t) {
-  const SimTime end = trace.Duration();
+SimTime ArrivalSource::NextArrival(SimTime t) {
+  const SimTime end = trace_.Duration();
   SimTime now = t;
   // Walk forward, slot by slot if necessary, until a gap fits before the
   // trace ends. Bounded by the number of slots.
   while (now < end) {
-    const double rate = trace.At(now);
-    const SimTime width = trace.slot_width();
+    const double rate = trace_.At(now);
+    const SimTime width = trace_.slot_width();
     if (rate < kMinRate) {
       // Jump to the next slot boundary.
       now = (std::floor(now / width) + 1.0) * width;
       continue;
     }
-    const double gap = (spacing == Spacing::kDeterministic)
+    const double gap = (spacing_ == Spacing::kDeterministic)
                            ? 1.0 / rate
-                           : rng.Exponential(rate);
+                           : rng_.Exponential(rate);
     const SimTime candidate = now + gap;
     // If the gap crosses into the next slot, re-evaluate from the boundary
     // so rate changes take effect promptly (thinning-style approximation).
     const SimTime boundary = (std::floor(now / width) + 1.0) * width;
-    if (candidate > boundary && trace.At(boundary) != rate) {
+    if (candidate > boundary && trace_.At(boundary) != rate) {
       now = boundary;
       continue;
     }
@@ -51,24 +51,32 @@ SimTime ArrivalSource::NextArrival(const RateTrace& trace, Spacing spacing,
   return end + 1.0;  // exhausted
 }
 
-void ArrivalSource::ScheduleNext(Simulation* sim, SimTime t) {
-  if (t > trace_.Duration()) return;
-  sim->Schedule(t, [this, sim, t]() {
-    Tuple tup;
-    tup.source = source_index_;
-    tup.arrival_time = t;
-    tup.value = rng_.Uniform();
-    tup.aux = rng_.Uniform();
-    sink_(tup);
-    ScheduleNext(sim, NextArrival(trace_, spacing_, rng_, t));
+Tuple ArrivalSource::Pop() {
+  Tuple tup;
+  tup.source = source_index_;
+  tup.arrival_time = next_;
+  tup.value = rng_.Uniform();
+  tup.aux = rng_.Uniform();
+  next_ = NextArrival(next_);
+  return tup;
+}
+
+void ArrivalSource::SchedulePending() {
+  if (next_ > trace_.Duration()) return;
+  // Capturing only `this` keeps the event inside std::function's small
+  // buffer: a simulated arrival allocates nothing.
+  sim_->Schedule(next_, [this] {
+    sink_(Pop());
+    SchedulePending();
   });
 }
 
 void ArrivalSource::Start(Simulation* sim, ArrivalCallback sink) {
   CS_CHECK_MSG(!sink_, "Start called twice");
-  CS_CHECK(sink != nullptr);
+  CS_CHECK(sim != nullptr && sink != nullptr);
+  sim_ = sim;
   sink_ = std::move(sink);
-  ScheduleNext(sim, NextArrival(trace_, spacing_, rng_, 0.0));
+  SchedulePending();
 }
 
 }  // namespace ctrlshed

@@ -61,16 +61,10 @@ Recorder RunSingleProcessReference(const ExperimentConfig& base, int workers) {
   RtLoop loop(plant.shards, &clock, controller.get(), lopts);
 
   Simulation sim;
-  const RateTrace full_trace = BuildArrivalTrace(base);
-  std::vector<std::unique_ptr<ArrivalSource>> sources;
-  for (int w = 0; w < workers; ++w) {
-    sources.push_back(std::make_unique<ArrivalSource>(
-        w,
-        workers == 1 ? full_trace
-                     : full_trace.Scaled(1.0 / static_cast<double>(workers)),
-        base.spacing, base.seed + 3 + static_cast<uint64_t>(w)));
-    RtEngine* engine = plant.engines[static_cast<size_t>(w)].get();
-    sources.back()->Start(&sim, [&loop, engine](const Tuple& t) {
+  std::vector<ArrivalSource> sources = ArrivalSourcesFor(base, workers);
+  for (size_t w = 0; w < sources.size(); ++w) {
+    RtEngine* engine = plant.engines[w].get();
+    sources[w].Start(&sim, [&loop, engine](const Tuple& t) {
       loop.OnArrival(t);
       engine->Pump(t.arrival_time);
     });

@@ -145,6 +145,51 @@ TEST(ExperimentTest, ArrivalTraceExposed) {
   EXPECT_GE(r.arrival_trace.Duration(), cfg.duration - 1.0);
 }
 
+// Pops `n` arrivals from each source and expects them equal, field by
+// field, including the source index.
+void ExpectSameArrivals(ArrivalSource& a, ArrivalSource& b, int n) {
+  for (int i = 0; i < n; ++i) {
+    const Tuple x = a.Pop();
+    const Tuple y = b.Pop();
+    ASSERT_EQ(x.source, y.source) << "arrival " << i;
+    ASSERT_EQ(x.arrival_time, y.arrival_time) << "arrival " << i;
+    ASSERT_EQ(x.value, y.value) << "arrival " << i;
+    ASSERT_EQ(x.aux, y.aux) << "arrival " << i;
+  }
+}
+
+TEST(ExperimentTest, ArrivalSourcesForPinsTheStreamSplit) {
+  ExperimentConfig cfg = ShortConfig(Method::kCtrl, WorkloadKind::kWeb);
+  cfg.seed = 11;
+  const RateTrace full = BuildArrivalTrace(cfg);
+
+  // Source i: index first_index + i, seed seed + 3 + i, the aggregate
+  // trace scaled by rate_scale / n.
+  std::vector<ArrivalSource> split =
+      ArrivalSourcesFor(cfg, 3, /*first_index=*/5, /*rate_scale=*/1.5);
+  ASSERT_EQ(split.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    ArrivalSource ref(5 + i, full.Scaled(0.5), cfg.spacing,
+                      cfg.seed + 3 + static_cast<uint64_t>(i));
+    ArrivalSource& got = split[static_cast<size_t>(i)];
+    EXPECT_EQ(got.source_index(), 5 + i);
+    EXPECT_EQ(got.trace().values(), ref.trace().values());
+    EXPECT_EQ(got.next(), ref.next());
+    ExpectSameArrivals(got, ref, 200);
+  }
+
+  // rate_scale / n == 1 passes the trace through unscaled; n = 1 is the
+  // sim's own source.
+  std::vector<ArrivalSource> doubled = ArrivalSourcesFor(cfg, 2, 0, 2.0);
+  EXPECT_EQ(doubled[1].trace().values(), full.values());
+  ArrivalSource second(1, full, cfg.spacing, cfg.seed + 4);
+  ExpectSameArrivals(doubled[1], second, 200);
+  std::vector<ArrivalSource> one = ArrivalSourcesFor(cfg, 1);
+  ASSERT_EQ(one.size(), 1u);
+  ArrivalSource sim_source(0, full, cfg.spacing, cfg.seed + 3);
+  ExpectSameArrivals(one[0], sim_source, 200);
+}
+
 TEST(ExperimentTest, DepartureObserverInvoked) {
   ExperimentConfig cfg = ShortConfig(Method::kNone, WorkloadKind::kConstant);
   cfg.constant_rate = 50.0;

@@ -8,14 +8,21 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <functional>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rt/rt_clock.h"
+#include "rt/rt_source.h"
+#include "sim/simulation.h"
 #include "telemetry/timeline.h"
 
 namespace ctrlshed {
@@ -33,6 +40,72 @@ TEST(RtClockTest, CompressionMapsTraceToWall) {
   EXPECT_NEAR(std::chrono::duration<double>(clock.WallDuration(4.0)).count(),
               0.1, 1e-6);
   EXPECT_GE(clock.Now(), 0.0);
+}
+
+TEST(RtArrivalSourceTest, WallClockReplayDeliversTheSimsTuples) {
+  // The same split replayed twice: once as simulation events, once by the
+  // wall-clock replay threads at 2000x (60 trace seconds in ~30 ms), so
+  // the threads fall behind and deliver catch-up batches.
+  ExperimentConfig web;
+  web.workload = WorkloadKind::kWeb;
+  web.duration = 60.0;
+  constexpr size_t kSources = 2;
+
+  std::vector<Tuple> sim_tuples[kSources];
+  Simulation sim;
+  std::vector<ArrivalSource> sim_sources = ArrivalSourcesFor(web, kSources);
+  for (ArrivalSource& source : sim_sources) {
+    source.Start(&sim, [&sim_tuples](const Tuple& t) {
+      sim_tuples[t.source].push_back(t);
+    });
+  }
+  sim.Run(web.duration);
+
+  std::vector<Tuple> rt_tuples[kSources];
+  std::vector<size_t> batches[kSources];
+  std::atomic<size_t> delivered{0};
+  RtClock clock(2000.0);
+  std::vector<std::unique_ptr<RtArrivalSource>> replays;
+  for (ArrivalSource& stream : ArrivalSourcesFor(web, kSources)) {
+    replays.push_back(std::make_unique<RtArrivalSource>(std::move(stream)));
+  }
+  clock.Start();
+  for (auto& replay : replays) {
+    // Each sink runs on its own source's thread and touches only that
+    // source's vectors; Stop() joins before they are read.
+    replay->Start(&clock, [&](const Tuple* t, size_t n) {
+      batches[t[0].source].push_back(n);
+      rt_tuples[t[0].source].insert(rt_tuples[t[0].source].end(), t, t + n);
+      delivered.fetch_add(n);
+    });
+  }
+  // Wait for the whole trace (generously: a sanitizer build is slow), so
+  // Stop() cuts nothing short.
+  const size_t expected = sim_tuples[0].size() + sim_tuples[1].size();
+  SleepUntilWall(std::chrono::steady_clock::now() + std::chrono::seconds(60),
+                 [&] { return delivered.load() >= expected; });
+  for (auto& replay : replays) replay->Stop();
+
+  for (size_t s = 0; s < kSources; ++s) {
+    SCOPED_TRACE("source " + std::to_string(s));
+    ASSERT_GT(sim_tuples[s].size(), 1000u);
+    ASSERT_EQ(rt_tuples[s].size(), sim_tuples[s].size());
+    for (size_t i = 0; i < sim_tuples[s].size(); ++i) {
+      const Tuple& a = rt_tuples[s][i];
+      const Tuple& b = sim_tuples[s][i];
+      ASSERT_EQ(a.source, b.source) << "tuple " << i;
+      ASSERT_EQ(a.arrival_time, b.arrival_time) << "tuple " << i;
+      ASSERT_EQ(a.value, b.value) << "tuple " << i;
+      ASSERT_EQ(a.aux, b.aux) << "tuple " << i;
+    }
+    size_t largest = 0;
+    for (size_t n : batches[s]) {
+      EXPECT_GE(n, 1u);
+      EXPECT_LE(n, kRtArrivalBatchMax);
+      largest = std::max(largest, n);
+    }
+    EXPECT_GT(largest, 1u);
+  }
 }
 
 RtRunConfig BaseConfig() {

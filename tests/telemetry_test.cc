@@ -716,8 +716,12 @@ TEST(PeriodSchemaTest, EverySurfaceAgreesWithTheTable) {
       if (!finite) {
         EXPECT_EQ(json, "null");
       } else if (f.format == FieldFormat::kSite) {
-        EXPECT_EQ(json, "\"" + std::string(ActuationSiteName(rows[r].site)) +
-                            "\"");
+        // Built with += : GCC 12 reports a -Wrestrict false positive on the
+        // chained operator+ at -O3.
+        std::string quoted = "\"";
+        quoted += ActuationSiteName(rows[r].site);
+        quoted += '"';
+        EXPECT_EQ(json, quoted);
       } else if ((f.surfaces & kCsv) != 0) {
         EXPECT_EQ(json, csv_cell);
       } else {
