@@ -39,7 +39,8 @@ ClusterFeedResult RunClusterFeeder(const ClusterFeedConfig& config) {
        ArrivalSourcesFor(base, config.sources,
                          static_cast<int>(config.source_id),
                          config.rate_scale)) {
-    streams.push_back(std::make_unique<RtArrivalSource>(std::move(stream)));
+    streams.push_back(std::make_unique<RtArrivalSource>(std::move(stream),
+                                                        kRtPacingWallSeconds));
   }
 
   const auto wall_start = std::chrono::steady_clock::now();

@@ -43,7 +43,7 @@ struct ClusterNodeConfig {
   double time_compression = 20.0;
   size_t ring_capacity = 4096;
   RtCostMode cost_mode = RtCostMode::kSleep;
-  double pacing_wall_seconds = 500e-6;
+  double pacing_wall_seconds = kRtPacingWallSeconds;
   size_t batch = 1;
 
   /// Worker core pinning, same syntax as the rt runtime's pin_cpus (see

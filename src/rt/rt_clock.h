@@ -11,6 +11,11 @@
 
 namespace ctrlshed {
 
+/// The rt plants' default pump interval in WALL seconds: how often a worker
+/// drains its ingress rings, and so how often a replay thread needs to
+/// deliver (RtArrivalSource) and the node's ingress needs to read.
+inline constexpr double kRtPacingWallSeconds = 500e-6;
+
 /// Maps the wall clock onto *trace time* — the time base every reused
 /// component (traces, control period, per-tuple costs, delay setpoints)
 /// is expressed in.

@@ -41,7 +41,7 @@ struct RtEngineOptions {
   /// Pump granularity in WALL seconds: how often the worker drains the
   /// rings and advances the engine. Must be well below the control
   /// period's wall duration.
-  double pacing_wall_seconds = 500e-6;
+  double pacing_wall_seconds = kRtPacingWallSeconds;
   /// Datapath batch size, in [1, 4096]: how many tuples each SPSC pop
   /// moves per index publish, and the invocation quantum the engine's
   /// scheduler grants per operator visit. 1 is the seed-equivalent

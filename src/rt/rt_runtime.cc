@@ -142,7 +142,8 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
   // the sim's arrival process for its 1/N slice.
   std::vector<std::unique_ptr<RtArrivalSource>> sources;
   for (ArrivalSource& stream : ArrivalSourcesFor(base, workers)) {
-    sources.push_back(std::make_unique<RtArrivalSource>(std::move(stream)));
+    sources.push_back(std::make_unique<RtArrivalSource>(
+        std::move(stream), config.pacing_wall_seconds));
     sources.back()->SetTelemetry(telemetry.get());
   }
 
@@ -181,6 +182,9 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
   result.recorder = loop.recorder();
   result.nominal_cost = plant.engines[0]->NominalEntryCost();
   result.ring_dropped = loop.ring_dropped();
+  for (const auto& source : sources) {
+    result.replay_wakeups += source->wakeups();
+  }
   result.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
   result.workers = workers;

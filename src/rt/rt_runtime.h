@@ -35,7 +35,7 @@ struct RtRunConfig {
   double time_compression = 20.0;
   size_t ring_capacity = 4096;
   RtCostMode cost_mode = RtCostMode::kSleep;
-  double pacing_wall_seconds = 500e-6;
+  double pacing_wall_seconds = kRtPacingWallSeconds;
 
   /// Datapath batch size (see RtEngineOptions::batch): SPSC pop run length
   /// and engine invocation quantum. 1 (default) is the seed-equivalent
@@ -94,6 +94,9 @@ struct RtRunResult {
   double nominal_cost = 0.0;
 
   uint64_t ring_dropped = 0;  ///< Ingress-ring overflow drops (in `shed`).
+  /// Wakes of the replay threads, summed over sources (at most one per
+  /// pacing interval each; see RtArrivalSource).
+  uint64_t replay_wakeups = 0;
   double wall_seconds = 0.0;  ///< Real elapsed time of the run.
 
   /// Worker shards of the run, and each shard's slice of the counters

@@ -1,6 +1,6 @@
 #include "rt/rt_source.h"
 
-#include <chrono>
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -9,8 +9,11 @@
 
 namespace ctrlshed {
 
-RtArrivalSource::RtArrivalSource(ArrivalSource stream)
-    : stream_(std::move(stream)) {}
+RtArrivalSource::RtArrivalSource(ArrivalSource stream,
+                                 double pacing_wall_seconds)
+    : stream_(std::move(stream)), pacing_wall_seconds_(pacing_wall_seconds) {
+  CS_CHECK_MSG(pacing_wall_seconds_ > 0.0, "pacing must be positive");
+}
 
 RtArrivalSource::~RtArrivalSource() { Stop(); }
 
@@ -36,35 +39,41 @@ void RtArrivalSource::Stop() {
 }
 
 void RtArrivalSource::Run() {
-  using Clock = std::chrono::steady_clock;
   if (telemetry_ != nullptr) {
     trace_buf_ = telemetry_->RegisterThread(
         "rt.source" + std::to_string(stream_.source_index()));
   }
   const SimTime end = stream_.trace().Duration();
+  const SimTime pacing = pacing_wall_seconds_ * clock_->compression();
   const auto stopping = [this] {
     return stop_.load(std::memory_order_acquire);
   };
 
+  SimTime earliest = 0.0;  // trace time of the next allowed wake
   while (!stopping() && stream_.next() <= end) {
-    // Sleep (in interruptible chunks) until the arrival is due; arrivals
-    // already in the past are delivered immediately, in order — the replay
+    // Sleep (in interruptible chunks) until the next arrival is due, but
+    // no sooner than one pacing interval after the previous wake. Arrivals
+    // already in the past are delivered at once, in order: the replay
     // catches up rather than silently thinning the trace.
-    SleepUntilWall(clock_->WallDeadline(stream_.next()), stopping);
+    SleepUntilWall(clock_->WallDeadline(std::max(stream_.next(), earliest)),
+                   stopping);
     if (stopping()) break;
+    const SimTime horizon = std::min(clock_->Now(), end);
+    earliest = horizon + pacing;
+    ++wakeups_;
 
-    // Gather every arrival that is already due into one batch: on-time
-    // replay wakes per arrival (n == 1), while a catch-up burst after an
-    // oversleep moves in bulk. The stream is the same however it is
-    // chunked.
-    Tuple batch[kRtArrivalBatchMax];
-    size_t n = 0;
+    // Deliver the arrival slept for (due, up to WallDeadline's rounding),
+    // then every arrival due by the horizon, in sink calls of at most
+    // kRtArrivalBatchMax. The stream is the same however it is chunked.
     do {
-      batch[n++] = stream_.Pop();
-    } while (n < kRtArrivalBatchMax && stream_.next() <= end &&
-             Clock::now() >= clock_->WallDeadline(stream_.next()));
-    ScopedSpan span(trace_buf_, "deliver");
-    sink_(batch, n);
+      Tuple batch[kRtArrivalBatchMax];
+      size_t n = 0;
+      do {
+        batch[n++] = stream_.Pop();
+      } while (n < kRtArrivalBatchMax && stream_.next() <= horizon);
+      ScopedSpan span(trace_buf_, "deliver");
+      sink_(batch, n);
+    } while (stream_.next() <= horizon && !stopping());
   }
 }
 

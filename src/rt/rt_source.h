@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <thread>
 
@@ -15,11 +16,9 @@ namespace ctrlshed {
 class Telemetry;
 class TraceBuffer;
 
-/// Largest run of already-due arrivals a replay thread delivers per sink
-/// call. Catch-up bursts (oversleeps, overload) arrive in batches of up to
-/// this many tuples; on-time replay wakes per arrival and delivers runs of
-/// one, which keeps the batched path behaviorally identical to the seed's
-/// per-tuple delivery whenever the replay is keeping up.
+/// Largest run of due arrivals a replay thread delivers per sink call. A
+/// wake that finds more due (a dense stream's pacing interval, a catch-up
+/// after an oversleep) splits them into calls of at most this many tuples.
 inline constexpr size_t kRtArrivalBatchMax = 64;
 
 /// Batched delivery callback: `n` in [1, kRtArrivalBatchMax] tuples from
@@ -27,20 +26,31 @@ inline constexpr size_t kRtArrivalBatchMax = 64;
 using RtBatchSink = std::function<void(const Tuple* tuples, size_t n)>;
 
 /// Replays one stream's arrival process against the wall clock: a thread
-/// that drives the sim's own ArrivalSource, delivering each tuple at its
-/// wall deadline — trace time mapped through the RtClock's compression
-/// factor. The tuples are the ones the sim's event-driven replay of the
-/// same source would deliver.
+/// that drives the sim's own ArrivalSource, trace time mapped through the
+/// RtClock's compression factor. The tuples are the ones the sim's
+/// event-driven replay of the same source would deliver.
+///
+/// The thread wakes at most once per pacing interval — the plant's pump
+/// interval, since a worker injects only at its pumps — and delivers
+/// everything due by that wake: it sleeps until the later of the next
+/// arrival's wall deadline and one interval after its previous wake, reads
+/// the trace horizon once, and pops every arrival at or before it. A
+/// dense stream thus delivers an interval's worth of arrivals per wake; a
+/// sparse one, whose gaps exceed the interval, still wakes per arrival,
+/// on time.
 ///
 /// The sink runs on this source's thread; with one RtArrivalSource per
 /// source index the per-source SPSC ingress contract holds by
 /// construction. Tuples are stamped with their scheduled trace arrival
 /// time (the instant they hit the system boundary), so delay statistics
-/// include any backlog the replay itself accumulates when the thread
-/// oversleeps.
+/// include the wait for the next wake, and any backlog the replay
+/// accumulates when the thread oversleeps.
 class RtArrivalSource {
  public:
-  explicit RtArrivalSource(ArrivalSource stream);
+  /// `pacing_wall_seconds` (> 0) is the shortest wall time between wakes.
+  explicit RtArrivalSource(
+      ArrivalSource stream,
+      double pacing_wall_seconds = kRtPacingWallSeconds);
   ~RtArrivalSource();
 
   RtArrivalSource(const RtArrivalSource&) = delete;
@@ -58,10 +68,15 @@ class RtArrivalSource {
   /// Signals the thread and joins it. Idempotent.
   void Stop();
 
+  /// Times the replay thread woke to deliver. Read after Stop.
+  uint64_t wakeups() const { return wakeups_; }
+
  private:
   void Run();
 
   ArrivalSource stream_;  ///< Replay-thread-owned once started.
+  double pacing_wall_seconds_;
+  uint64_t wakeups_ = 0;  ///< Replay-thread-owned once started.
   const RtClock* clock_ = nullptr;
   RtBatchSink sink_;
   Telemetry* telemetry_ = nullptr;

@@ -108,6 +108,67 @@ TEST(RtArrivalSourceTest, WallClockReplayDeliversTheSimsTuples) {
   }
 }
 
+TEST(RtArrivalSourceTest, PacedReplayWakesAtMostOncePerPacingInterval) {
+  // A dense stream: 2000 tuples/s for 20 trace s at 50x is 100k tuples per
+  // wall second, ~50 per 500 µs pacing interval.
+  ExperimentConfig constant;
+  constant.workload = WorkloadKind::kConstant;
+  constant.constant_rate = 2000.0;
+  constant.duration = 20.0;
+  constexpr double kPacing = 500e-6;
+
+  std::vector<Tuple> sim_tuples;
+  Simulation sim;
+  std::vector<ArrivalSource> sim_sources = ArrivalSourcesFor(constant, 1);
+  sim_sources[0].Start(&sim,
+                       [&](const Tuple& t) { sim_tuples.push_back(t); });
+  sim.Run(constant.duration);
+  const size_t expected = sim_tuples.size();
+  ASSERT_GT(expected, 30000u);
+
+  RtClock clock(50.0);
+  RtArrivalSource replay(std::move(ArrivalSourcesFor(constant, 1)[0]),
+                         kPacing);
+  std::vector<Tuple> rt_tuples;
+  size_t sink_calls = 0;
+  size_t early = 0;
+  std::atomic<size_t> delivered{0};
+  clock.Start();
+  const auto wall_start = std::chrono::steady_clock::now();
+  // The sink runs on the replay thread; Stop() joins before the counters
+  // and vectors are read.
+  replay.Start(&clock, [&](const Tuple* t, size_t n) {
+    const SimTime now = clock.Now();
+    for (size_t i = 0; i < n; ++i) {
+      if (t[i].arrival_time > now + 1e-6) ++early;
+    }
+    ++sink_calls;
+    rt_tuples.insert(rt_tuples.end(), t, t + n);
+    delivered.fetch_add(n);
+  });
+  SleepUntilWall(std::chrono::steady_clock::now() + std::chrono::seconds(60),
+                 [&] { return delivered.load() >= expected; });
+  replay.Stop();
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - wall_start)
+                          .count();
+
+  EXPECT_EQ(early, 0u) << "tuples delivered before their trace time";
+  EXPECT_GT(replay.wakeups(), 0u);
+  EXPECT_LE(static_cast<double>(replay.wakeups()), wall / kPacing + 1.0)
+      << "over " << wall << " wall s";
+  EXPECT_LE(sink_calls, expected / kRtArrivalBatchMax + replay.wakeups());
+  ASSERT_EQ(rt_tuples.size(), expected);
+  for (size_t i = 0; i < expected; ++i) {
+    const Tuple& a = rt_tuples[i];
+    const Tuple& b = sim_tuples[i];
+    ASSERT_EQ(a.source, b.source) << "tuple " << i;
+    ASSERT_EQ(a.arrival_time, b.arrival_time) << "tuple " << i;
+    ASSERT_EQ(a.value, b.value) << "tuple " << i;
+    ASSERT_EQ(a.aux, b.aux) << "tuple " << i;
+  }
+}
+
 RtRunConfig BaseConfig() {
   RtRunConfig cfg;
   cfg.base.workload = WorkloadKind::kConstant;

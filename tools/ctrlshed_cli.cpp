@@ -365,6 +365,12 @@ int CmdRt(Args args) {
   }
   std::printf("ring drops         %llu\n",
               static_cast<unsigned long long>(r.ring_dropped));
+  std::printf("replay             %llu wakes, %.1f tuples/wake\n",
+              static_cast<unsigned long long>(r.replay_wakeups),
+              r.replay_wakeups == 0
+                  ? 0.0
+                  : static_cast<double>(r.summary.offered) /
+                        static_cast<double>(r.replay_wakeups));
   std::printf("loop health        %s\n", r.health.Summary().c_str());
   std::printf("wall time          %.2f s\n", r.wall_seconds);
   std::printf("pump interval      p50/p95/p99 %.3f / %.3f / %.3f ms\n",
