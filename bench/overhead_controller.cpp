@@ -8,12 +8,14 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "control/baseline_controller.h"
 #include "control/ctrl_controller.h"
-#include "control/monitor.h"
+#include "core/feedback_loop.h"
 #include "engine/engine.h"
 #include "engine/query_network.h"
+#include "rt/rt_monitor.h"
 #include "runner/networks.h"
 #include "shedding/entry_shedder.h"
 
@@ -53,15 +55,28 @@ void BM_BaselineControllerDecision(benchmark::State& state) {
 }
 BENCHMARK(BM_BaselineControllerDecision);
 
+RtMonitorOptions SimMonitorOptions() {
+  RtMonitorOptions mo;
+  mo.period = 1.0;
+  mo.headroom = 0.97;
+  return mo;
+}
+
+// The sim's sampling path: FeedbackLoop's EngineSample into a one-shard
+// RtMonitor.
 void BM_MonitorSample(benchmark::State& state) {
   QueryNetwork net;
   BuildIdentificationNetwork(&net, 0.0051);
   Engine engine(&net, 0.97);
-  Monitor monitor(&engine, MonitorOptions{1.0, 0.97, 1.0, 0.0, 1});
+  RtMonitor monitor(engine.NominalEntryCost(), 1, SimMonitorOptions());
+  std::vector<RtSample> sample(1);
   uint64_t offered = 0;
+  SimTime now = 0.0;
   for (auto _ : state) {
     offered += 200;
-    benchmark::DoNotOptimize(monitor.Sample(0.0, offered, 2.0));
+    now += 1.0;
+    sample[0] = EngineSample(engine, now, offered, 0.0, 0);
+    benchmark::DoNotOptimize(monitor.Sample(sample, 2.0));
   }
 }
 BENCHMARK(BM_MonitorSample);
@@ -70,13 +85,17 @@ void BM_FullControlPeriod(benchmark::State& state) {
   QueryNetwork net;
   BuildIdentificationNetwork(&net, 0.0051);
   Engine engine(&net, 0.97);
-  Monitor monitor(&engine, MonitorOptions{1.0, 0.97, 1.0, 0.0, 1});
+  RtMonitor monitor(engine.NominalEntryCost(), 1, SimMonitorOptions());
   CtrlController ctrl{CtrlOptions{}};
   EntryShedder shedder(1);
+  std::vector<RtSample> sample(1);
   uint64_t offered = 0;
+  SimTime now = 0.0;
   for (auto _ : state) {
     offered += 200;
-    PeriodMeasurement m = monitor.Sample(0.0, offered, 2.0);
+    now += 1.0;
+    sample[0] = EngineSample(engine, now, offered, 0.0, 0);
+    PeriodMeasurement m = monitor.Sample(sample, 2.0);
     m.fin = 240.0;  // pretend a loaded period
     const double v = ctrl.DesiredRate(m);
     const double applied = shedder.Configure(v, m);

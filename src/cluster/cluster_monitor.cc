@@ -21,9 +21,8 @@ PeriodMathOptions ToMathOptions(const ClusterMonitorOptions& o) {
 
 ClusterMonitor::ClusterMonitor(double nominal_entry_cost,
                                ClusterMonitorOptions options)
-    : nominal_entry_cost_(nominal_entry_cost),
-      options_(options),
-      math_(nominal_entry_cost, ToMathOptions(options)) {
+    : options_(options),
+      fold_(nominal_entry_cost, ToMathOptions(options)) {
   CS_CHECK_MSG(options_.period > 0.0, "period must be positive");
   CS_CHECK_MSG(options_.stale_periods >= 1, "stale_periods must be >= 1");
 }
@@ -130,37 +129,19 @@ bool ClusterMonitor::Sample(SimTime now, double target_delay,
   }
   headroom_changed_ = headroom != effective_headroom_;
   if (headroom_changed_) {
-    math_.SetHeadroom(headroom, max_headroom);
+    fold_.math().SetHeadroom(headroom, max_headroom);
     effective_headroom_ = headroom;
   }
 
-  CS_CHECK_MSG(now > prev_now_, "samples must move forward in time");
-  const double elapsed = now - prev_now_;
-  prev_now_ = now;
-
   // Fold the active nodes in registration order — a fixed order keeps the
   // floating-point sums deterministic run to run.
-  PeriodDeltas d;
-  d.now = now;
-  node_fin_.clear();
-  node_queues_.clear();
+  fold_.Begin(now);
   for (NodeState& n : nodes_) {
     if (!n.active) continue;
-    d.offered += n.pending.offered;
-    d.admitted += n.pending.admitted;
-    d.drained_base_load += n.pending.drained_base_load;
-    d.busy_seconds += n.pending.busy_seconds;
-    d.queue += n.pending.queue;
-    d.delay_sum += n.pending.delay_sum;
-    d.delay_count += n.pending.delay_count;
-    node_fin_.push_back(static_cast<double>(n.pending.offered) / elapsed);
-    node_queues_.push_back(n.pending.queue);
+    fold_.Add(n.pending);
     n.pending = PeriodDeltas{};
   }
-
-  h_hat_tracker_.Update(d.drained_base_load, d.busy_seconds);
-
-  *m = math_.SampleDeltas(d, target_delay, elapsed);
+  *m = fold_.Sample(target_delay);
   return true;
 }
 

@@ -7,7 +7,6 @@
 
 #include "cluster/wire.h"
 #include "control/period_math.h"
-#include "telemetry/health.h"
 
 namespace ctrlshed {
 
@@ -23,12 +22,12 @@ struct ClusterMonitorOptions {
 };
 
 /// The controller-side aggregation: folds per-node stats reports into one
-/// virtual plant, exactly the way RtMonitor folds shards — the effective
-/// headroom is Σ over active nodes of N_i·H_i, counters are summed, and
-/// the shared PeriodMath produces the Eq. (11) measurement. Because nodes
-/// ship the very PeriodDeltas their own monitors consumed, a one-node
-/// zero-delay cluster reproduces the single-process arithmetic bit for
-/// bit.
+/// virtual plant through the same SliceFold RtMonitor folds shards with —
+/// the effective headroom is Σ over active nodes of N_i·H_i, the nodes'
+/// deltas are summed, and the shared PeriodMath produces the Eq. (11)
+/// measurement. Because nodes ship the very PeriodDeltas their own
+/// monitors consumed, a one-node zero-delay cluster reproduces the
+/// single-process arithmetic bit for bit.
 ///
 /// Membership: nodes announce themselves with a hello and stay known
 /// forever; the ACTIVE set (what the plant sums over) is recomputed at
@@ -88,8 +87,8 @@ class ClusterMonitor {
 
   // --- Last Sample's per-node decomposition (registration order) --------
   const std::vector<uint32_t>& active_ids() const { return active_ids_; }
-  const std::vector<double>& node_fin() const { return node_fin_; }
-  const std::vector<double>& node_queues() const { return node_queues_; }
+  const std::vector<double>& node_fin() const { return fold_.fin(); }
+  const std::vector<double>& node_queues() const { return fold_.queue(); }
 
   /// Σ over active nodes of N_i·H_i after the last Sample (0 before).
   double effective_headroom() const { return effective_headroom_; }
@@ -105,31 +104,26 @@ class ClusterMonitor {
   /// Aggregate measured per-worker headroom: Σ drained / Σ busy over the
   /// active nodes' folded deltas, EWMA-smoothed. NaN before the first
   /// busy Sample.
-  double h_hat() const { return h_hat_tracker_.value(); }
+  double h_hat() const { return fold_.h_hat(); }
   const std::vector<NodeState>& nodes() const { return nodes_; }
   const NodeState* Find(uint32_t id) const;
 
-  double CostEstimate() const { return math_.CostEstimate(); }
-  double HeadroomEstimate() const { return math_.HeadroomEstimate(); }
+  double CostEstimate() const { return fold_.math().CostEstimate(); }
+  double HeadroomEstimate() const { return fold_.math().HeadroomEstimate(); }
   const ClusterMonitorOptions& options() const { return options_; }
 
  private:
   NodeState* FindMutable(uint32_t id);
 
-  double nominal_entry_cost_;
   ClusterMonitorOptions options_;
-  PeriodMath math_;
+  SliceFold fold_;
 
   std::vector<NodeState> nodes_;  // registration order, never shrinks
-  SimTime prev_now_ = 0.0;
   double effective_headroom_ = 0.0;
   bool headroom_changed_ = false;
-  HeadroomTracker h_hat_tracker_;
   std::function<void(const char* what, uint32_t node_id)> on_transition_;
 
   std::vector<uint32_t> active_ids_;
-  std::vector<double> node_fin_;
-  std::vector<double> node_queues_;
 };
 
 }  // namespace ctrlshed

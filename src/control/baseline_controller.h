@@ -12,7 +12,7 @@ namespace ctrlshed {
 ///   u(k) = (yd H / c(k) - q(k)) / T,      v(k) = u(k) + H / c(k)
 ///
 /// (the paper's v(k) = -q(k) + yd H/c + T H/c, written as rates; c(k) is
-/// estimated by the previous period's measurement, which the Monitor
+/// estimated by the previous period's measurement, which the monitor
 /// already provides). Deadbeat-aggressive: it tries to reach the target
 /// queue in a single period, which the paper shows causes large transients
 /// and slow recovery compared to CTRL.

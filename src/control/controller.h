@@ -7,9 +7,10 @@
 
 namespace ctrlshed {
 
-/// One control period's worth of measurements, produced by the Monitor at
-/// each period boundary. All rates are in tuples/second (entry-tuple
-/// equivalents); delays and costs are in seconds.
+/// One control period's worth of measurements, produced by the monitor
+/// (RtMonitor, ClusterMonitor) at each period boundary. All rates are in
+/// tuples/second (entry-tuple equivalents); delays and costs are in
+/// seconds.
 struct PeriodMeasurement {
   int k = 0;               ///< Period index (first full period is k = 1).
   SimTime t = 0.0;         ///< Period end time.

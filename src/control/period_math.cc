@@ -24,35 +24,10 @@ PeriodMath::PeriodMath(double nominal_entry_cost, PeriodMathOptions options)
   headroom_estimate_ = options_.headroom;
 }
 
-PeriodMeasurement PeriodMath::Sample(const PeriodCounters& c,
-                                     double target_delay, double elapsed,
-                                     const std::function<double()>& cost_noise) {
-  CS_CHECK_MSG(c.offered >= prev_offered_, "offered counter went backwards");
-  CS_CHECK_MSG(c.admitted >= prev_admitted_, "admitted counter went backwards");
-
-  PeriodDeltas d;
-  d.now = c.now;
-  d.offered = c.offered - prev_offered_;
-  d.admitted = c.admitted - prev_admitted_;
-  d.drained_base_load = c.drained_base_load - prev_drained_;
-  d.busy_seconds = c.busy_seconds - prev_busy_;
-  d.queue = c.queue;
-  d.delay_sum = c.delay_sum;
-  d.delay_count = c.delay_count;
-
-  prev_offered_ = c.offered;
-  prev_admitted_ = c.admitted;
-  prev_drained_ = c.drained_base_load;
-  prev_busy_ = c.busy_seconds;
-
-  return SampleDeltas(d, target_delay, elapsed, cost_noise);
-}
-
 PeriodMeasurement PeriodMath::SampleDeltas(
     const PeriodDeltas& d, double target_delay, double elapsed,
     const std::function<double()>& cost_noise) {
   CS_CHECK_MSG(elapsed > 0.0, "elapsed time must be positive");
-  last_deltas_ = d;
 
   PeriodMeasurement m;
   m.k = ++k_;
@@ -114,6 +89,38 @@ void PeriodMath::SetHeadroom(double headroom, double max_headroom) {
   } else {
     headroom_estimate_ = headroom;
   }
+}
+
+SliceFold::SliceFold(double nominal_entry_cost, PeriodMathOptions options)
+    : math_(nominal_entry_cost, options) {}
+
+void SliceFold::Begin(SimTime now) {
+  CS_CHECK_MSG(now > prev_now_, "samples must move forward in time");
+  const SimTime period = math_.options().period;
+  span_ = now == prev_now_ + period ? period : now - prev_now_;
+  prev_now_ = now;
+  sum_ = PeriodDeltas{};
+  sum_.now = now;
+  fin_.clear();
+  queue_.clear();
+}
+
+void SliceFold::Add(const PeriodDeltas& d) {
+  sum_.offered += d.offered;
+  sum_.admitted += d.admitted;
+  sum_.drained_base_load += d.drained_base_load;
+  sum_.busy_seconds += d.busy_seconds;
+  sum_.queue += d.queue;
+  sum_.delay_sum += d.delay_sum;
+  sum_.delay_count += d.delay_count;
+  fin_.push_back(static_cast<double>(d.offered) / span_);
+  queue_.push_back(d.queue);
+}
+
+PeriodMeasurement SliceFold::Sample(double target_delay,
+                                    const std::function<double()>& cost_noise) {
+  h_hat_.Update(sum_.drained_base_load, sum_.busy_seconds);
+  return math_.SampleDeltas(sum_, target_delay, span_, cost_noise);
 }
 
 std::vector<double> ProportionalShares(const std::vector<double>& loads) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -10,8 +11,37 @@
 
 namespace ctrlshed {
 
-/// Options of the per-period measurement math shared by the sim Monitor
-/// and the rt RtMonitor (Section 4.5.1, Eq. 11).
+/// Online estimator of the measured headroom H_hat: realized base-load
+/// seconds drained per busy second, EWMA-smoothed over control periods.
+/// In the engine's processing model a tuple of base load l occupies the
+/// CPU for l / H seconds, so drained/busy recovers H at any load level —
+/// including under cost-multiplier traces, where it reports the
+/// *effective* headroom the plant is actually delivering. Report-only:
+/// nothing in the control law reads it.
+class HeadroomTracker {
+ public:
+  explicit HeadroomTracker(double ewma = 0.3) : ewma_(ewma) {}
+
+  /// Feeds one period's deltas. Periods with ~zero busy time carry no
+  /// information and leave the estimate unchanged. Returns value().
+  double Update(double drained_base_load, double busy_seconds) {
+    if (busy_seconds > 1e-9 && drained_base_load >= 0.0) {
+      const double sample = drained_base_load / busy_seconds;
+      value_ = value_ == value_ ? ewma_ * sample + (1.0 - ewma_) * value_
+                                : sample;
+    }
+    return value_;
+  }
+
+  /// Current estimate; NaN until the first informative period.
+  double value() const { return value_; }
+
+ private:
+  double ewma_;
+  double value_ = std::numeric_limits<double>::quiet_NaN();
+};
+
+/// Options of the per-period measurement math (Section 4.5.1, Eq. 11).
 struct PeriodMathOptions {
   SimTime period = 1.0;    ///< Nominal control period T the gains assume.
   /// Effective headroom H of the plant the measurement describes. A
@@ -52,37 +82,16 @@ struct PeriodDeltas {
   uint64_t delay_count = 0;
 };
 
-/// Cumulative plant counters at a period boundary, plus the instantaneous
-/// queue state. The caller supplies cumulative totals; PeriodMath keeps
-/// the previous boundary's values and forms the deltas itself.
-struct PeriodCounters {
-  SimTime now = 0.0;          ///< Boundary time (trace seconds).
-  uint64_t offered = 0;       ///< Tuples offered by the sources (pre-shed).
-  uint64_t admitted = 0;      ///< Tuples admitted into the network.
-  double drained_base_load = 0.0;  ///< Static load drained, seconds.
-  double busy_seconds = 0.0;       ///< CPU work performed, seconds.
-  /// Instantaneous virtual queue length q in entry-tuple equivalents,
-  /// already clamped by the caller (Engine::VirtualQueueLength or the
-  /// RtSample reconstruction).
-  double queue = 0.0;
-  /// Departure-delay accumulation of THIS period (deltas, not cumulative:
-  /// the two monitors accumulate differently, so each hands over the
-  /// per-period sums it already has).
-  double delay_sum = 0.0;
-  uint64_t delay_count = 0;
-};
-
-/// The per-period measurement process both feedback loops share: rates
+/// The per-period measurement process every feedback loop shares: rates
 /// from counter deltas, the measured per-tuple cost c(k) = nominal *
 /// busy/drained with EWMA smoothing, the optional online headroom
 /// estimate, and the Eq. (11) delay estimate
 ///
 ///   y_hat(k) = q(k) c(k)/H + c(k)/H = (q(k) + 1) c(k) / H.
 ///
-/// The sim Monitor samples at exact event-heap boundaries and passes
-/// elapsed = T; the rt RtMonitor's wakeups jitter, so it passes the actual
-/// elapsed trace time between snapshots (the PeriodMeasurement still
-/// reports the nominal T the controller gains were designed for).
+/// It takes one period's deltas and the trace time the period spanned
+/// (SliceFold's span rule); the PeriodMeasurement still reports the
+/// nominal T the controller gains were designed for.
 ///
 /// Not thread-safe: owned by whichever thread runs the monitor.
 class PeriodMath {
@@ -90,27 +99,15 @@ class PeriodMath {
   /// `nominal_entry_cost` is the network's model constant c (seconds).
   PeriodMath(double nominal_entry_cost, PeriodMathOptions options);
 
-  /// Forms the measurement for the period ending at `c.now`. `elapsed` is
-  /// the trace time the period actually spanned (> 0). `cost_noise`, when
-  /// non-null, supplies a multiplier for the raw cost measurement (the sim
-  /// Monitor's injected estimation noise); it is invoked only on periods
-  /// where the cost update fires, preserving the caller's noise-RNG stream
-  /// exactly as the pre-refactor Monitor consumed it.
-  PeriodMeasurement Sample(const PeriodCounters& c, double target_delay,
-                           double elapsed,
-                           const std::function<double()>& cost_noise = nullptr);
-
-  /// Delta entry point: forms the measurement for the period whose counter
-  /// deltas are `d`, spanning `elapsed` trace seconds ending at `d.now`.
-  /// Sample() is a thin wrapper that differences cumulative counters and
-  /// calls this, so both paths share one arithmetic sequence bit-for-bit.
+  /// Forms the measurement for the period whose counter deltas are `d`,
+  /// spanning `elapsed` (> 0) trace seconds ending at `d.now`.
+  /// `cost_noise`, when non-null, supplies a multiplier for the raw cost
+  /// measurement (the sim's injected estimation noise); it is invoked only
+  /// on periods where the cost update fires, so the caller's noise RNG
+  /// advances once per informative period.
   PeriodMeasurement SampleDeltas(
       const PeriodDeltas& d, double target_delay, double elapsed,
       const std::function<double()>& cost_noise = nullptr);
-
-  /// The deltas consumed by the most recent Sample/SampleDeltas call —
-  /// what a cluster node reports upstream for aggregate re-derivation.
-  const PeriodDeltas& last_deltas() const { return last_deltas_; }
 
   /// Re-targets the plant size mid-run (cluster membership change: the
   /// effective headroom is the sum over active nodes of N_i*H_i). Keeps
@@ -127,14 +124,60 @@ class PeriodMath {
   PeriodMathOptions options_;
 
   int k_ = 0;
-  uint64_t prev_offered_ = 0;
-  uint64_t prev_admitted_ = 0;
-  double prev_drained_ = 0.0;
-  double prev_busy_ = 0.0;
   double prev_queue_ = 0.0;
   double cost_estimate_ = 0.0;
   double headroom_estimate_ = 0.0;
-  PeriodDeltas last_deltas_;
+};
+
+/// One period of a plant made of slices — the shards of an rt plant or
+/// the nodes of a cluster — folded into the single plant the controller
+/// drives. Each period: Begin(now), Add() every slice's deltas in a fixed
+/// slice order (the floating-point sums are then deterministic), Sample().
+///
+/// Span rule: a boundary exactly one nominal period after the previous one
+/// (now == prev + T, how the sim and the cluster sim compute their ticks)
+/// spans exactly T; any other boundary — a jittered wall-clock tick, or a
+/// cluster tick after idle ticks — spans now - prev.
+///
+/// Not thread-safe: owned by whichever thread runs the monitor.
+class SliceFold {
+ public:
+  SliceFold(double nominal_entry_cost, PeriodMathOptions options);
+
+  /// Opens the period ending at `now` (must be later than the last one).
+  void Begin(SimTime now);
+
+  /// Sums one slice's deltas into the period and records the slice's
+  /// offered rate and queue.
+  void Add(const PeriodDeltas& d);
+
+  /// Updates the aggregate H_hat and forms the period's measurement
+  /// (PeriodMath::SampleDeltas over the summed deltas and the span).
+  PeriodMeasurement Sample(
+      double target_delay,
+      const std::function<double()>& cost_noise = nullptr);
+
+  /// The summed deltas of the current (or last sampled) period.
+  const PeriodDeltas& deltas() const { return sum_; }
+  /// Offered rate of each slice this period (tuples/second), slice order.
+  const std::vector<double>& fin() const { return fin_; }
+  /// Virtual queue length of each slice at the boundary, slice order.
+  const std::vector<double>& queue() const { return queue_; }
+  /// Aggregate measured per-worker headroom: Σ drained / Σ busy over the
+  /// slices, EWMA-smoothed. NaN before the first busy period.
+  double h_hat() const { return h_hat_.value(); }
+
+  PeriodMath& math() { return math_; }
+  const PeriodMath& math() const { return math_; }
+
+ private:
+  PeriodMath math_;
+  SimTime prev_now_ = 0.0;
+  double span_ = 0.0;
+  PeriodDeltas sum_;
+  std::vector<double> fin_;
+  std::vector<double> queue_;
+  HeadroomTracker h_hat_;
 };
 
 /// Normalized fan-out weights proportional to `loads` (per-shard or

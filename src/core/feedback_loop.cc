@@ -4,6 +4,29 @@
 
 namespace ctrlshed {
 
+namespace {
+double CheckedNominalCost(const Engine* engine) {
+  CS_CHECK(engine != nullptr);
+  return engine->NominalEntryCost();
+}
+}  // namespace
+
+RtSample EngineSample(const Engine& engine, SimTime now, uint64_t offered,
+                      double delay_sum, uint64_t delay_count) {
+  const EngineCounters& c = engine.counters();
+  RtSample s;
+  s.now = now;
+  s.offered = offered;
+  s.admitted = c.admitted;
+  s.busy_seconds = c.busy_seconds;
+  s.drained_base_load = c.drained_base_load;
+  s.queued_tuples = engine.QueuedTuples();
+  s.outstanding_base_load = engine.OutstandingBaseLoad();
+  s.delay_sum = delay_sum;
+  s.delay_count = delay_count;
+  return s;
+}
+
 FeedbackLoop::FeedbackLoop(Simulation* sim, Engine* engine,
                            LoadController* controller, Shedder* shedder,
                            FeedbackLoopOptions options)
@@ -12,27 +35,23 @@ FeedbackLoop::FeedbackLoop(Simulation* sim, Engine* engine,
       controller_(controller),
       shedder_(shedder),
       options_(options),
-      monitor_(engine,
-               [&options] {
-                 MonitorOptions mo;
-                 mo.period = options.period;
-                 mo.headroom = options.headroom;
-                 mo.cost_ewma = options.cost_ewma;
-                 mo.estimation_noise = options.estimation_noise;
-                 mo.noise_seed = options.noise_seed;
-                 mo.adapt_headroom = options.adapt_headroom;
-                 return mo;
-               }()),
+      monitor_(CheckedNominalCost(engine), 1,
+               {.period = options.period,
+                .headroom = options.headroom,
+                .cost_ewma = options.cost_ewma,
+                .adapt_headroom = options.adapt_headroom,
+                .estimation_noise = options.estimation_noise,
+                .noise_seed = options.noise_seed}),
       qos_(options.target_delay),
       pipeline_("sim",
-                ActuationPlannerOptions{
-                    engine != nullptr ? engine->NominalEntryCost() : 1.0,
-                    options.allow_in_network_shed, options.cost_aware_shed},
+                ActuationPlannerOptions{engine->NominalEntryCost(),
+                                        options.allow_in_network_shed,
+                                        options.cost_aware_shed},
                 options.telemetry),
       predictor_(MakePredictor(options.predictor)),
+      sample_(1),
       target_delay_(options.target_delay) {
   CS_CHECK(sim_ != nullptr);
-  CS_CHECK(engine_ != nullptr);
   if (options.track_sources > 0) {
     per_source_ = std::make_unique<PerSourceStats>(options.track_sources);
   }
@@ -51,7 +70,8 @@ void FeedbackLoop::Start() {
   started_ = true;
 
   engine_->SetDepartureCallback([this](const Departure& d) {
-    monitor_.OnDeparture(d);
+    delay_sum_ += d.depart_time - d.arrival_time;
+    ++delay_count_;
     qos_.OnDeparture(d);
     if (per_source_) per_source_->OnDeparture(d);
     if (observer_) observer_(d);
@@ -81,7 +101,9 @@ void FeedbackLoop::SetTargetDelay(double yd) {
 }
 
 void FeedbackLoop::ControlTick(SimTime now) {
-  PeriodMeasurement m = monitor_.Sample(now, offered_, target_delay_);
+  sample_[0] =
+      EngineSample(*engine_, now, offered_, delay_sum_, delay_count_);
+  PeriodMeasurement m = monitor_.Sample(sample_, target_delay_);
   m.fin_forecast = predictor_->Observe(m.fin);
   PeriodRecord rec{.m = m};
   if (controller_ != nullptr) {
@@ -97,14 +119,10 @@ void FeedbackLoop::ControlTick(SimTime now) {
         feedback_);
     controller_->NotifyActuation(fold.applied);
   }
-  const EngineCounters& counters = engine_->counters();
-  rec.queue_shed = counters.shed_lineages - prev_queue_shed_;
-  prev_queue_shed_ = counters.shed_lineages;
-  rec.h_hat = headroom_tracker_.Update(
-      counters.drained_base_load - prev_drained_base_load_,
-      counters.busy_seconds - prev_busy_seconds_);
-  prev_drained_base_load_ = counters.drained_base_load;
-  prev_busy_seconds_ = counters.busy_seconds;
+  const uint64_t shed_lineages = engine_->counters().shed_lineages;
+  rec.queue_shed = shed_lineages - prev_queue_shed_;
+  prev_queue_shed_ = shed_lineages;
+  rec.h_hat = monitor_.h_hat();
   pipeline_.Publish(std::move(rec), options_.headroom);
 }
 

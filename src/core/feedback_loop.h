@@ -5,13 +5,13 @@
 #include <memory>
 
 #include "control/controller.h"
-#include "control/monitor.h"
 #include "control/rate_predictor.h"
 #include "core/period_pipeline.h"
 #include "engine/engine.h"
 #include "metrics/per_source_stats.h"
 #include "metrics/qos_metrics.h"
 #include "metrics/recorder.h"
+#include "rt/rt_monitor.h"
 #include "shedding/shedder.h"
 #include "sim/simulation.h"
 
@@ -24,10 +24,10 @@ struct FeedbackLoopOptions {
   SimTime period = 1.0;        ///< Control period T.
   double target_delay = 2.0;   ///< Initial setpoint yd (seconds).
   double headroom = 0.97;      ///< H estimate shared by monitor & estimator.
-  double cost_ewma = 1.0;      ///< Cost-estimate smoothing (see Monitor).
-  double estimation_noise = 0.0;  ///< Cost-measurement noise (see Monitor).
+  double cost_ewma = 1.0;      ///< Cost-estimate smoothing (see RtMonitor).
+  double estimation_noise = 0.0;  ///< Cost-measurement noise (see RtMonitor).
   uint64_t noise_seed = 99;
-  bool adapt_headroom = false;    ///< Online H estimation (see Monitor).
+  bool adapt_headroom = false;    ///< Online H estimation (see RtMonitor).
   /// When > 0, keep per-stream offered/admitted/delay statistics for this
   /// many sources (see PerSourceStats). 0 disables the accounting.
   int track_sources = 0;
@@ -47,10 +47,19 @@ struct FeedbackLoopOptions {
   Telemetry* telemetry = nullptr;
 };
 
+/// The snapshot a sim engine presents to its RtMonitor at a period
+/// boundary: the engine counters and queue state the monitor reads, plus
+/// the loop's cumulative offered count and departure-delay sums (the entry
+/// shedder sits before the engine, so the engine cannot count offered
+/// tuples).
+RtSample EngineSample(const Engine& engine, SimTime now, uint64_t offered,
+                      double delay_sum, uint64_t delay_count);
+
 /// The complete feedback control loop of Fig. 3: monitor -> controller ->
 /// actuator (shedder) -> plant (engine). This is the paper's contribution
 /// assembled into a reusable component: the sim adapter over PeriodPipeline,
-/// with one slice whose plan the shedder applies inline.
+/// with one slice whose plan the shedder applies inline. It samples the
+/// engine through a one-shard RtMonitor, the monitor of every plant.
 ///
 /// Wiring: route every source's arrivals into OnArrival (the loop applies
 /// the shedder and injects survivors into the engine), call Start once
@@ -85,7 +94,7 @@ class FeedbackLoop {
 
   const QosAccumulator& qos() const { return qos_; }
   const Recorder& recorder() const { return pipeline_.recorder(); }
-  const Monitor& monitor() const { return monitor_; }
+  const RtMonitor& monitor() const { return monitor_; }
 
   /// Current control-loop health verdict (see telemetry/health.h).
   /// Thread-safe — the telemetry server's /health handler calls it.
@@ -112,7 +121,7 @@ class FeedbackLoop {
   Shedder* shedder_;
   FeedbackLoopOptions options_;
 
-  Monitor monitor_;
+  RtMonitor monitor_;
   QosAccumulator qos_;
   PeriodPipeline pipeline_;
   std::unique_ptr<PerSourceStats> per_source_;
@@ -120,11 +129,12 @@ class FeedbackLoop {
   DepartureCallback observer_;
   std::unique_ptr<RatePredictor> predictor_;
   QueueFeedback feedback_;  ///< Scratch, refilled each period.
-  HeadroomTracker headroom_tracker_;
+  /// The monitor's one-shard snapshot, kept so a tick allocates nothing.
+  std::vector<RtSample> sample_;
   uint64_t prev_queue_shed_ = 0;  ///< Engine shed_lineages at last tick.
-  double prev_busy_seconds_ = 0.0;
-  double prev_drained_base_load_ = 0.0;
   double target_delay_;
+  double delay_sum_ = 0.0;  ///< Cumulative departure delay, seconds.
+  uint64_t delay_count_ = 0;
   uint64_t offered_ = 0;
   uint64_t entry_shed_ = 0;
   bool started_ = false;

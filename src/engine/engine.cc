@@ -43,9 +43,8 @@ double Engine::CostMultiplierAt(SimTime t) const {
 }
 
 double Engine::VirtualQueueLength() const {
-  // The incremental +/- bookkeeping can leave ~1e-16 residue at empty.
-  if (queued_tuples_ == 0) return 0.0;
-  return std::max(0.0, outstanding_base_load_ / nominal_entry_cost_);
+  return VirtualQueueFromLoad(queued_tuples_, outstanding_base_load_,
+                              nominal_entry_cost_);
 }
 
 void Engine::Inject(Tuple t, SimTime now) {

@@ -1,6 +1,7 @@
 #ifndef CTRLSHED_ENGINE_ENGINE_H_
 #define CTRLSHED_ENGINE_ENGINE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -91,6 +92,18 @@ struct EngineCounters {
   double drained_base_load = 0.0;  ///< Cumulative static load removed from queues.
   double shed_base_load = 0.0;     ///< Static load removed by in-network shedding.
 };
+
+/// The virtual queue length q of the paper's model (Eq. 2): outstanding
+/// static load in entry-tuple equivalents. An empty queue reads exactly 0,
+/// since the incremental +/- bookkeeping of the outstanding load can leave
+/// ~1e-16 residue at empty. Engine::VirtualQueueLength and RtMonitor, which
+/// rebuilds q from shard snapshots, share this one definition.
+inline double VirtualQueueFromLoad(uint64_t queued_tuples,
+                                   double outstanding_base_load,
+                                   double nominal_entry_cost) {
+  if (queued_tuples == 0) return 0.0;
+  return std::max(0.0, outstanding_base_load / nominal_entry_cost);
+}
 
 /// The Borealis-like query engine: the *plant* of the control loop.
 ///

@@ -4,16 +4,14 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.h"
 #include "control/controller.h"
 #include "control/period_math.h"
 #include "rt/rt_stats.h"
-#include "telemetry/health.h"
 
 namespace ctrlshed {
 
-/// Options of the real-time measurement process; mirrors MonitorOptions
-/// minus the simulation-only knobs (measurement noise is no longer
-/// injected — the real runtime has real noise).
+/// Options of the periodic measurement process.
 struct RtMonitorOptions {
   SimTime period = 1.0;    ///< Nominal control period T, trace seconds.
   /// PER-WORKER H estimate used in the Eq. (11) delay estimate. An
@@ -23,32 +21,28 @@ struct RtMonitorOptions {
   /// EWMA weight of the newest per-period cost measurement in (0,1];
   /// 1 = no smoothing (the paper's "estimate c(k) with c(k-1)").
   double cost_ewma = 1.0;
-  /// Online headroom estimation (see Monitor::adapt_headroom).
+  /// Online headroom estimation (see PeriodMathOptions::adapt_headroom).
   bool adapt_headroom = false;
   double headroom_ewma = 0.2;
+  /// Multiplicative log-normal noise (sigma of log) on the per-period cost
+  /// measurement, for the sim only: real Borealis shows ~10% estimation
+  /// error (paper Figs. 6B/7B) that the sim's exact counters lack, so its
+  /// performance experiments set 0.1. 0 = off (the rt runtime has real
+  /// noise).
+  double estimation_noise = 0.0;
+  uint64_t noise_seed = 99;
 };
 
-/// The monitor of the real-time feedback loop: the same per-period math as
-/// the sim-side Monitor (shared via control/period_math.h — Eq. 11 delay
-/// estimate from the virtual queue length, measured cost
-/// c(k) = nominal * busy/drained, drain rate fout), but computed from
-/// RtSample snapshots of the shared atomics instead of poking the engine
-/// objects — the engines live on other threads.
-///
-/// Sharded plants: with N > 1 shards the monitor aggregates one snapshot
-/// per shard into a single virtual plant the unchanged controller can
-/// drive — q = Σ q_i, fout = Σ fout_i, a drain-weighted cost
-/// c = nominal * Σ busy_i / Σ drained_i, and an Eq. (11) estimate against
-/// the aggregate's effective headroom N*H (N workers each grant H of a
-/// CPU, so the aggregate drains at N*H/c tuples per second). Per-shard
-/// offered rates and queue lengths of the last period are kept for the
+/// The monitor of the feedback loop (Fig. 3) for every plant: the sim's
+/// engine, an rt plant's shards and a cluster node's shards. Each period it
+/// differences one RtSample snapshot per shard against that shard's
+/// previous one, and a SliceFold (control/period_math.h) sums the shard
+/// deltas into the single virtual plant the unchanged controller drives:
+/// q = Σ q_i, fout = Σ fout_i, a drain-weighted cost c = nominal * Σ busy_i
+/// / Σ drained_i, and the Eq. (11) estimate y_hat = (q+1) c / (N*H) against
+/// the aggregate's effective headroom (N workers each grant H of a CPU).
+/// Per-shard offered rates and queue lengths of the last period feed the
 /// actuation fan-out and the telemetry export.
-///
-/// Real-time wrinkle: the controller thread's wakeups jitter, so rates are
-/// formed over the *actual* elapsed trace time between samples, not the
-/// nominal T. The PeriodMeasurement still reports the nominal period
-/// (controller gains are designed for T; the jitter is orders of magnitude
-/// smaller).
 ///
 /// Not thread-safe: owned and called by the controller thread only (or a
 /// test driving it with a fake clock).
@@ -65,13 +59,13 @@ class RtMonitor {
   PeriodMeasurement Sample(const std::vector<RtSample>& shards,
                            double target_delay);
 
-  double CostEstimate() const { return math_.CostEstimate(); }
-  double HeadroomEstimate() const { return math_.HeadroomEstimate(); }
+  double CostEstimate() const { return fold_.math().CostEstimate(); }
+  double HeadroomEstimate() const { return fold_.math().HeadroomEstimate(); }
 
   /// Counter deltas the last Sample consumed — exactly what a cluster node
   /// reports upstream so the cluster plant can re-derive the aggregate
   /// measurement without a second cumulative-differencing pass.
-  const PeriodDeltas& last_deltas() const { return math_.last_deltas(); }
+  const PeriodDeltas& last_deltas() const { return fold_.deltas(); }
   int num_shards() const { return num_shards_; }
   const RtMonitorOptions& options() const { return options_; }
 
@@ -79,10 +73,10 @@ class RtMonitor {
 
   /// Offered rate of each shard over the last period (tuples/second);
   /// the actuation fan-out weights the admitted rate by these.
-  const std::vector<double>& shard_fin() const { return shard_fin_; }
+  const std::vector<double>& shard_fin() const { return fold_.fin(); }
 
   /// Virtual queue length of each shard at the last sample.
-  const std::vector<double>& shard_queues() const { return shard_queues_; }
+  const std::vector<double>& shard_queues() const { return fold_.queue(); }
 
   /// Measured per-worker headroom H_hat of each shard — base load drained
   /// per busy second, EWMA-smoothed (see HeadroomTracker). Report-only;
@@ -91,26 +85,18 @@ class RtMonitor {
 
   /// Aggregate measured per-worker headroom: Σ drained / Σ busy across
   /// shards, which recovers the per-worker H (not N*H) at any load level.
-  double h_hat() const { return h_hat_tracker_.value(); }
+  double h_hat() const { return fold_.h_hat(); }
 
  private:
   double nominal_entry_cost_;
   int num_shards_;
   RtMonitorOptions options_;
-  PeriodMath math_;
+  Rng noise_rng_;
+  SliceFold fold_;
 
-  SimTime prev_now_ = 0.0;
-  std::vector<uint64_t> prev_shard_offered_;
-  std::vector<double> prev_shard_busy_;
-  std::vector<double> prev_shard_drained_;
-  double prev_delay_sum_ = 0.0;
-  uint64_t prev_delay_count_ = 0;
-
-  std::vector<double> shard_fin_;
-  std::vector<double> shard_queues_;
+  std::vector<RtSample> prev_;  ///< Each shard's previous snapshot.
   std::vector<HeadroomTracker> shard_h_hat_trackers_;
   std::vector<double> shard_h_hat_;
-  HeadroomTracker h_hat_tracker_;
 };
 
 }  // namespace ctrlshed

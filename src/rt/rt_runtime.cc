@@ -25,7 +25,10 @@ std::string RtPlantError(int workers, double time_compression,
   if (!(time_compression > 0.0)) {
     return "compress (time compression) must be positive";
   }
-  if (ring_capacity == 0) return "ring (capacity) must be positive";
+  if (ring_capacity < 1 || ring_capacity > kRtMaxRingCapacity) {
+    return "ring (capacity) must be in [1, " +
+           std::to_string(kRtMaxRingCapacity) + "]";
+  }
   if (batch < 1 || batch > 4096) return "batch must be in [1, 4096]";
   std::string pin_error;
   ParsePinCpus(pin_cpus, &pin_error);

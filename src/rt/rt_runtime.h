@@ -128,10 +128,13 @@ struct RtRunResult {
   bool interrupted = false;  ///< True when config.stop ended the run early.
 };
 
+/// Largest ingress ring capacity (tuples per shard) the rt plant accepts.
+inline constexpr size_t kRtMaxRingCapacity = size_t{1} << 20;
+
 /// Validates the rt-plant knobs `ctrlshed rt` and `ctrlshed node` share:
-/// workers in [1, 64], compress and ring positive, batch in [1, 4096], and
-/// a well-formed pin_cpus. Returns an empty string when valid, else a
-/// message naming the offending knob.
+/// workers in [1, 64], compress positive, ring in [1, kRtMaxRingCapacity],
+/// batch in [1, 4096], and a well-formed pin_cpus. Returns an empty string
+/// when valid, else a message naming the offending knob.
 std::string RtPlantError(int workers, double time_compression,
                          size_t ring_capacity, size_t batch,
                          const std::string& pin_cpus);

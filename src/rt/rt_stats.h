@@ -11,7 +11,8 @@ namespace ctrlshed {
 
 /// One coherent-enough snapshot of the shared counters, taken by the
 /// monitor thread at a period boundary. Plain values: everything the
-/// RtMonitor needs to reproduce the sim Monitor's per-period math.
+/// RtMonitor needs to form one period's measurement (the sim fills the
+/// same snapshot from its engine; see EngineSample).
 struct RtSample {
   SimTime now = 0.0;  ///< Trace time the snapshot was taken at.
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -32,6 +33,10 @@ class SpscRing {
   /// `capacity` is rounded up to the next power of two (minimum 2).
   explicit SpscRing(size_t capacity) {
     CS_CHECK_MSG(capacity >= 1, "ring capacity must be at least 1");
+    // Past the largest power of two the round-up below would wrap to 0
+    // and never end.
+    CS_CHECK_MSG(capacity <= (std::numeric_limits<size_t>::max() >> 1) + 1,
+                 "ring capacity too large to round up to a power of two");
     size_t cap = 2;
     while (cap < capacity) cap <<= 1;
     slots_.resize(cap);

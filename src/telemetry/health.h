@@ -7,40 +7,11 @@
 #include <string>
 #include <vector>
 
+#include "control/period_math.h"
 #include "metrics/recorder.h"
 #include "telemetry/metrics_registry.h"
 
 namespace ctrlshed {
-
-/// Online estimator of the measured headroom H_hat: realized base-load
-/// seconds drained per busy second, EWMA-smoothed over control periods.
-/// In the engine's processing model a tuple of base load l occupies the
-/// CPU for l / H seconds, so drained/busy recovers H at any load level —
-/// including under cost-multiplier traces, where it reports the
-/// *effective* headroom the plant is actually delivering. Report-only:
-/// nothing in the control law reads it.
-class HeadroomTracker {
- public:
-  explicit HeadroomTracker(double ewma = 0.3) : ewma_(ewma) {}
-
-  /// Feeds one period's deltas. Periods with ~zero busy time carry no
-  /// information and leave the estimate unchanged. Returns value().
-  double Update(double drained_base_load, double busy_seconds) {
-    if (busy_seconds > 1e-9 && drained_base_load >= 0.0) {
-      const double sample = drained_base_load / busy_seconds;
-      value_ = value_ == value_ ? ewma_ * sample + (1.0 - ewma_) * value_
-                                : sample;
-    }
-    return value_;
-  }
-
-  /// Current estimate; NaN until the first informative period.
-  double value() const { return value_; }
-
- private:
-  double ewma_;
-  double value_ = std::numeric_limits<double>::quiet_NaN();
-};
 
 /// Thresholds for the health verdict. Defaults are tuned so a 2x
 /// steady overload (the CI smoke workloads; alpha ~= 0.5) stays `ok`

@@ -12,10 +12,10 @@
 #include <vector>
 
 #include "control/ctrl_controller.h"
-#include "control/monitor.h"
 #include "core/feedback_loop.h"
 #include "engine/engine.h"
 #include "engine/query_network.h"
+#include "rt/rt_monitor.h"
 #include "runner/networks.h"
 #include "shedding/entry_shedder.h"
 #include "shedding/queue_shedder.h"
@@ -253,7 +253,9 @@ TEST(CollectQueueFeedbackTest, ReportsOnlyNonEmptyQueues) {
 // A literal replica of the control tick as it existed before ActuationPlan:
 //   m = monitor.Sample(...); v = controller.DesiredRate(m);
 //   applied = shedder.Configure(v, m); controller.NotifyActuation(applied);
-// driven by the same arrival/admission wiring FeedbackLoop::OnArrival uses.
+// driven by the same arrival/admission wiring FeedbackLoop::OnArrival uses,
+// and sampling the way FeedbackLoop samples (EngineSample into a one-shard
+// RtMonitor).
 struct LegacyRow {
   PeriodMeasurement m;
   double v = 0.0;
@@ -271,17 +273,21 @@ struct LegacyRig {
     ctrl_opts.headroom = headroom;
     controller = std::make_unique<CtrlController>(ctrl_opts);
     shedder.reset(make(engine.get()));
-    MonitorOptions mo;
+    RtMonitorOptions mo;
     mo.period = 1.0;
     mo.headroom = headroom;
-    monitor = std::make_unique<Monitor>(engine.get(), mo);
+    monitor = std::make_unique<RtMonitor>(engine->NominalEntryCost(), 1, mo);
   }
 
   void Run(RateTrace trace, SimTime end, double target_delay) {
-    engine->SetDepartureCallback(
-        [this](const Departure& d) { monitor->OnDeparture(d); });
+    engine->SetDepartureCallback([this](const Departure& d) {
+      delay_sum += d.depart_time - d.arrival_time;
+      ++delay_count;
+    });
     sim.ScheduleEvery(1.0, 1.0, [this, target_delay](SimTime now) {
-      PeriodMeasurement m = monitor->Sample(now, offered, target_delay);
+      PeriodMeasurement m = monitor->Sample(
+          {EngineSample(*engine, now, offered, delay_sum, delay_count)},
+          target_delay);
       const double v = controller->DesiredRate(m);
       const double applied = shedder->Configure(v, m);
       controller->NotifyActuation(applied);
@@ -302,8 +308,10 @@ struct LegacyRig {
   std::unique_ptr<Engine> engine;
   std::unique_ptr<CtrlController> controller;
   std::unique_ptr<Shedder> shedder;
-  std::unique_ptr<Monitor> monitor;
+  std::unique_ptr<RtMonitor> monitor;
   uint64_t offered = 0;
+  double delay_sum = 0.0;
+  uint64_t delay_count = 0;
   std::vector<LegacyRow> rows;
 };
 

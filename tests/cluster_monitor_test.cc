@@ -190,6 +190,30 @@ TEST(ClusterMonitorTest, DelayedReportsAccumulateAcrossBoundary) {
   EXPECT_DOUBLE_EQ(m.queue, 14.0);
 }
 
+TEST(ClusterMonitorTest, SampleAfterIdleTicksSpansSinceLastSample) {
+  // Idle controller ticks (no active node) form no measurement, so the
+  // next sample's period runs from the last one that did: now - prev, not
+  // the nominal T.
+  ClusterMonitor mon(kNominalCost, Opts());
+  mon.OnHello(Hello(0, 1), 0.0);
+  mon.OnReport(Report(0, 1, 1.0, 100, 90, 0.3, 10.0), 1.0);
+  PeriodMeasurement m;
+  ASSERT_TRUE(mon.Sample(1.0, 2.0, &m));
+
+  // The node falls silent: it stays active through the stale window, and
+  // past stale_periods = 3 the tick at 5 is idle.
+  for (int k = 2; k <= 4; ++k) {
+    ASSERT_TRUE(mon.Sample(static_cast<SimTime>(k), 2.0, &m)) << "k=" << k;
+  }
+  EXPECT_FALSE(mon.Sample(5.0, 2.0, &m));
+  EXPECT_EQ(mon.active_count(), 0);
+
+  mon.OnReport(Report(0, 2, 6.0, 250, 200, 0.5, 12.0), 6.0);
+  ASSERT_TRUE(mon.Sample(6.0, 2.0, &m));
+  EXPECT_DOUBLE_EQ(m.fin, 250.0 / 2.0);  // over 6 - 4, not T = 1
+  EXPECT_DOUBLE_EQ(mon.node_fin()[0], 250.0 / 2.0);
+}
+
 // --- Fan-out conservation property (satellite c) ---------------------------
 
 double SumOfSlices(double v, const std::vector<double>& loads) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "control/ctrl_controller.h"
 #include "core/feedback_loop.h"
@@ -126,6 +127,37 @@ TEST(FeedbackLoopTest, RecorderCoversEveryPeriod) {
   rig.Feed(MakeConstantTrace(20.0, 150.0), 20.0);
   EXPECT_EQ(rig.loop->recorder().rows().size(), 40u);
   EXPECT_DOUBLE_EQ(rig.loop->recorder().rows()[0].m.t, 0.5);
+}
+
+TEST(FeedbackLoopTest, OfferedRateDividesByExactPeriod) {
+  // At T = 0.1 the boundaries k*T are built by repeated addition, so
+  // now - prev drifts off 0.1 in the last bits; the sim's rates still
+  // divide each period's integer offered count by exactly T.
+  FeedbackLoopOptions opts;
+  opts.period = 0.1;
+  Rig rig(190.0, 0.97, opts);
+  std::vector<SimTime> arrivals;
+  ArrivalSource src(0, MakeConstantTrace(5.0, 300.0),
+                    ArrivalSource::Spacing::kPoisson, 9);
+  rig.loop->Start();
+  src.Start(&rig.sim, [&](const Tuple& t) {
+    arrivals.push_back(t.arrival_time);
+    rig.loop->OnArrival(t);
+  });
+  rig.sim.Run(5.0);
+
+  const auto& rows = rig.loop->recorder().rows();
+  ASSERT_GE(rows.size(), 45u);
+  size_t next = 0;
+  for (const PeriodRecord& row : rows) {
+    uint64_t offered = 0;
+    while (next < arrivals.size() && arrivals[next] <= row.m.t) {
+      ++offered;
+      ++next;
+    }
+    EXPECT_EQ(row.m.fin, static_cast<double>(offered) / 0.1)
+        << "k=" << row.m.k;
+  }
 }
 
 TEST(FeedbackLoopTest, DepartureObserverSeesAllDepartures) {

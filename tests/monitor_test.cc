@@ -1,10 +1,15 @@
+// The sim's monitor: a one-shard RtMonitor sampling a real Engine through
+// EngineSample, the fill FeedbackLoop uses each period.
+
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
-#include "control/monitor.h"
+#include "core/feedback_loop.h"
 #include "engine/engine.h"
 #include "engine/query_network.h"
+#include "rt/rt_monitor.h"
 #include "runner/networks.h"
 
 namespace ctrlshed {
@@ -17,6 +22,41 @@ Tuple SourceTuple(double value, SimTime arrival) {
   return t;
 }
 
+RtMonitorOptions Opts(double headroom, double cost_ewma, double noise,
+                      uint64_t seed) {
+  RtMonitorOptions o;
+  o.period = 1.0;
+  o.headroom = headroom;
+  o.cost_ewma = cost_ewma;
+  o.estimation_noise = noise;
+  o.noise_seed = seed;
+  return o;
+}
+
+/// A one-shard RtMonitor over a sim Engine, sampled the way FeedbackLoop
+/// samples it.
+struct EngineMonitor {
+  EngineMonitor(Engine* e, RtMonitorOptions o)
+      : engine(e), mon(e->NominalEntryCost(), 1, o) {}
+
+  void OnDeparture(const Departure& d) {
+    delay_sum += d.depart_time - d.arrival_time;
+    ++delay_count;
+  }
+
+  PeriodMeasurement Sample(SimTime now, uint64_t offered_cum,
+                           double target_delay) {
+    return mon.Sample(
+        {EngineSample(*engine, now, offered_cum, delay_sum, delay_count)},
+        target_delay);
+  }
+
+  Engine* engine;
+  RtMonitor mon;
+  double delay_sum = 0.0;
+  uint64_t delay_count = 0;
+};
+
 class MonitorFixture : public ::testing::Test {
  protected:
   MonitorFixture() {
@@ -28,7 +68,7 @@ class MonitorFixture : public ::testing::Test {
 };
 
 TEST_F(MonitorFixture, MeasuresRatesFromCounterDeltas) {
-  Monitor mon(engine_.get(), MonitorOptions{1.0, 1.0, 1.0, 0.0, 1});
+  EngineMonitor mon(engine_.get(), Opts(1.0, 1.0, 0.0, 1));
   // Period 1: 30 offered, 20 admitted (10 "shed" upstream of the engine).
   for (int i = 0; i < 20; ++i) engine_->Inject(SourceTuple(0.5, 0.0), 0.0);
   engine_->AdvanceTo(1.0);  // 0.2 s of work: everything drains
@@ -47,7 +87,7 @@ TEST_F(MonitorFixture, MeasuresRatesFromCounterDeltas) {
 }
 
 TEST_F(MonitorFixture, CostEstimateMatchesNominalOnCleanRun) {
-  Monitor mon(engine_.get(), MonitorOptions{1.0, 1.0, 1.0, 0.0, 1});
+  EngineMonitor mon(engine_.get(), Opts(1.0, 1.0, 0.0, 1));
   for (int i = 0; i < 50; ++i) engine_->Inject(SourceTuple(0.5, 0.0), 0.0);
   engine_->AdvanceTo(1.0);
   PeriodMeasurement m = mon.Sample(1.0, 50, 2.0);
@@ -56,7 +96,7 @@ TEST_F(MonitorFixture, CostEstimateMatchesNominalOnCleanRun) {
 
 TEST_F(MonitorFixture, CostEstimateTracksMultiplier) {
   engine_->SetCostMultiplier([](SimTime) { return 2.5; });
-  Monitor mon(engine_.get(), MonitorOptions{1.0, 1.0, 1.0, 0.0, 1});
+  EngineMonitor mon(engine_.get(), Opts(1.0, 1.0, 0.0, 1));
   for (int i = 0; i < 30; ++i) engine_->Inject(SourceTuple(0.5, 0.0), 0.0);
   engine_->AdvanceTo(1.0);
   PeriodMeasurement m = mon.Sample(1.0, 30, 2.0);
@@ -64,7 +104,7 @@ TEST_F(MonitorFixture, CostEstimateTracksMultiplier) {
 }
 
 TEST_F(MonitorFixture, YHatFollowsEq11) {
-  Monitor mon(engine_.get(), MonitorOptions{1.0, /*headroom=*/0.97, 1.0, 0.0, 1});
+  EngineMonitor mon(engine_.get(), Opts(/*headroom=*/0.97, 1.0, 0.0, 1));
   for (int i = 0; i < 40; ++i) engine_->Inject(SourceTuple(0.5, 0.0), 0.0);
   // Process only some of the work.
   engine_->AdvanceTo(0.1);
@@ -74,7 +114,7 @@ TEST_F(MonitorFixture, YHatFollowsEq11) {
 }
 
 TEST_F(MonitorFixture, MeasuredDelayAveragesDepartures) {
-  Monitor mon(engine_.get(), MonitorOptions{1.0, 1.0, 1.0, 0.0, 1});
+  EngineMonitor mon(engine_.get(), Opts(1.0, 1.0, 0.0, 1));
   engine_->SetDepartureCallback([&](const Departure& d) { mon.OnDeparture(d); });
   engine_->Inject(SourceTuple(0.5, 0.0), 0.0);
   engine_->AdvanceTo(1.0);
@@ -87,18 +127,18 @@ TEST_F(MonitorFixture, MeasuredDelayAveragesDepartures) {
 }
 
 TEST_F(MonitorFixture, CostEstimateHoldsWhenIdle) {
-  Monitor mon(engine_.get(), MonitorOptions{1.0, 1.0, 1.0, 0.0, 1});
+  EngineMonitor mon(engine_.get(), Opts(1.0, 1.0, 0.0, 1));
   PeriodMeasurement m = mon.Sample(1.0, 0, 2.0);
   // Falls back to the static (nominal) estimate.
   EXPECT_NEAR(m.cost, 0.010, 1e-9);
 }
 
 TEST_F(MonitorFixture, EwmaSmoothsCostJumps) {
-  Monitor raw(engine_.get(), MonitorOptions{1.0, 1.0, /*ewma=*/1.0, 0.0, 1});
+  EngineMonitor raw(engine_.get(), Opts(1.0, /*ewma=*/1.0, 0.0, 1));
   QueryNetwork net2;
   BuildUniformChain(&net2, 5, 0.010);
   Engine engine2(&net2, 1.0);
-  Monitor smooth(&engine2, MonitorOptions{1.0, 1.0, /*ewma=*/0.3, 0.0, 1});
+  EngineMonitor smooth(&engine2, Opts(1.0, /*ewma=*/0.3, 0.0, 1));
 
   auto mult = [](SimTime) { return 4.0; };
   engine_->SetCostMultiplier(mult);
@@ -119,8 +159,8 @@ TEST_F(MonitorFixture, EstimationNoiseIsReproducible) {
   QueryNetwork net2;
   BuildUniformChain(&net2, 5, 0.010);
   Engine engine2(&net2, 1.0);
-  Monitor a(engine_.get(), MonitorOptions{1.0, 1.0, 1.0, /*noise=*/0.1, 7});
-  Monitor b(&engine2, MonitorOptions{1.0, 1.0, 1.0, /*noise=*/0.1, 7});
+  EngineMonitor a(engine_.get(), Opts(1.0, 1.0, /*noise=*/0.1, 7));
+  EngineMonitor b(&engine2, Opts(1.0, 1.0, /*noise=*/0.1, 7));
   for (int i = 0; i < 20; ++i) {
     engine_->Inject(SourceTuple(0.5, 0.0), 0.0);
     engine2.Inject(SourceTuple(0.5, 0.0), 0.0);
@@ -131,7 +171,7 @@ TEST_F(MonitorFixture, EstimationNoiseIsReproducible) {
 }
 
 TEST_F(MonitorFixture, EstimationNoisePerturbsCost) {
-  Monitor mon(engine_.get(), MonitorOptions{1.0, 1.0, 1.0, /*noise=*/0.2, 7});
+  EngineMonitor mon(engine_.get(), Opts(1.0, 1.0, /*noise=*/0.2, 7));
   for (int i = 0; i < 20; ++i) engine_->Inject(SourceTuple(0.5, 0.0), 0.0);
   engine_->AdvanceTo(1.0);
   double c = mon.Sample(1.0, 20, 2.0).cost;
@@ -141,7 +181,7 @@ TEST_F(MonitorFixture, EstimationNoisePerturbsCost) {
 }
 
 TEST_F(MonitorFixture, TargetDelayStamped) {
-  Monitor mon(engine_.get(), MonitorOptions{1.0, 1.0, 1.0, 0.0, 1});
+  EngineMonitor mon(engine_.get(), Opts(1.0, 1.0, 0.0, 1));
   EXPECT_DOUBLE_EQ(mon.Sample(1.0, 0, 3.5).target_delay, 3.5);
 }
 
@@ -149,7 +189,7 @@ TEST(MonitorDeathTest, OfferedCounterMustBeMonotone) {
   QueryNetwork net;
   BuildUniformChain(&net, 3, 0.003);
   Engine engine(&net, 1.0);
-  Monitor mon(&engine, MonitorOptions{1.0, 1.0, 1.0, 0.0, 1});
+  EngineMonitor mon(&engine, Opts(1.0, 1.0, 0.0, 1));
   mon.Sample(1.0, 10, 2.0);
   EXPECT_DEATH(mon.Sample(2.0, 5, 2.0), "backwards");
 }

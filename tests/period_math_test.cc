@@ -1,12 +1,13 @@
 // Unit tests of the shared per-period measurement math (Eq. 11 delay
-// estimate, cost EWMA, online headroom adaptation) that both the sim
-// Monitor and the rt RtMonitor delegate to. The helper consumes cumulative
-// counters and forms deltas itself, so every case fabricates a counter
-// trajectory and checks the derived signals.
+// estimate, cost EWMA, online headroom adaptation) that RtMonitor and
+// ClusterMonitor reach through SliceFold. Every case fabricates one
+// period's counter deltas and checks the derived signals.
 
 #include "control/period_math.h"
 
 #include <gtest/gtest.h>
+
+#include "rt/rt_monitor.h"
 
 namespace ctrlshed {
 namespace {
@@ -23,15 +24,15 @@ PeriodMathOptions Opts() {
 TEST(PeriodMathTest, FirstSampleRatesAndEq11) {
   PeriodMath math(kNominalCost, Opts());
 
-  PeriodCounters c;
-  c.now = 1.0;
-  c.offered = 100;
-  c.admitted = 80;
-  c.drained_base_load = 60 * kNominalCost;
-  c.busy_seconds = 60 * kNominalCost;
-  c.queue = 20.0;
+  PeriodDeltas d;
+  d.now = 1.0;
+  d.offered = 100;
+  d.admitted = 80;
+  d.drained_base_load = 60 * kNominalCost;
+  d.busy_seconds = 60 * kNominalCost;
+  d.queue = 20.0;
 
-  PeriodMeasurement m = math.Sample(c, 2.0, /*elapsed=*/1.0);
+  PeriodMeasurement m = math.SampleDeltas(d, 2.0, /*elapsed=*/1.0);
   EXPECT_EQ(m.k, 1);
   EXPECT_DOUBLE_EQ(m.t, 1.0);
   EXPECT_DOUBLE_EQ(m.period, 1.0);
@@ -49,20 +50,20 @@ TEST(PeriodMathTest, FirstSampleRatesAndEq11) {
 TEST(PeriodMathTest, RatesDivideByElapsedNotNominalPeriod) {
   PeriodMath math(kNominalCost, Opts());
 
-  PeriodCounters c1;
-  c1.now = 1.0;
-  c1.offered = 100;
-  math.Sample(c1, 2.0, 1.0);
+  PeriodDeltas d1;
+  d1.now = 1.0;
+  d1.offered = 100;
+  math.SampleDeltas(d1, 2.0, 1.0);
 
   // An oversleeping rt controller: the "1-second" period spans 2 s.
-  PeriodCounters c2 = c1;
-  c2.now = 3.0;
-  c2.offered = 400;  // +300 over 2 s -> 150/s
-  c2.admitted = 200;
-  c2.drained_base_load = 100 * kNominalCost;
-  c2.busy_seconds = 100 * kNominalCost;
+  PeriodDeltas d2;
+  d2.now = 3.0;
+  d2.offered = 300;  // over 2 s -> 150/s
+  d2.admitted = 200;
+  d2.drained_base_load = 100 * kNominalCost;
+  d2.busy_seconds = 100 * kNominalCost;
 
-  PeriodMeasurement m = math.Sample(c2, 2.0, /*elapsed=*/2.0);
+  PeriodMeasurement m = math.SampleDeltas(d2, 2.0, /*elapsed=*/2.0);
   EXPECT_EQ(m.k, 2);
   EXPECT_DOUBLE_EQ(m.fin, 150.0);
   EXPECT_DOUBLE_EQ(m.admitted, 100.0);
@@ -76,18 +77,18 @@ TEST(PeriodMathTest, CostEwmaAndIdlePeriodKeepsEstimate) {
   o.cost_ewma = 0.5;
   PeriodMath math(kNominalCost, o);
 
-  PeriodCounters c1;
-  c1.now = 1.0;
-  c1.drained_base_load = 100 * kNominalCost;
-  c1.busy_seconds = 2 * 100 * kNominalCost;  // measured cost = 2 * nominal
-  PeriodMeasurement m1 = math.Sample(c1, 2.0, 1.0);
+  PeriodDeltas d1;
+  d1.now = 1.0;
+  d1.drained_base_load = 100 * kNominalCost;
+  d1.busy_seconds = 2 * 100 * kNominalCost;  // measured cost = 2 * nominal
+  PeriodMeasurement m1 = math.SampleDeltas(d1, 2.0, 1.0);
   // EWMA from the nominal bootstrap: 0.5*2c + 0.5*c = 1.5c.
   EXPECT_NEAR(m1.cost, 1.5 * kNominalCost, 1e-12);
 
   // Nothing drained: the estimate must not be corrupted.
-  PeriodCounters c2 = c1;
-  c2.now = 2.0;
-  PeriodMeasurement m2 = math.Sample(c2, 2.0, 1.0);
+  PeriodDeltas d2;
+  d2.now = 2.0;
+  PeriodMeasurement m2 = math.SampleDeltas(d2, 2.0, 1.0);
   EXPECT_NEAR(m2.cost, 1.5 * kNominalCost, 1e-12);
   EXPECT_DOUBLE_EQ(m2.fout, 0.0);
 }
@@ -100,18 +101,18 @@ TEST(PeriodMathTest, CostNoiseAppliedOnlyWhenUpdateFires) {
     return 2.0;
   };
 
-  // Idle period: the noise source must NOT be consumed (the sim Monitor's
+  // Idle period: the noise source must NOT be consumed (the sim's noise
   // RNG stream position depends on this).
-  PeriodCounters c1;
-  c1.now = 1.0;
-  math.Sample(c1, 2.0, 1.0, noise);
+  PeriodDeltas d1;
+  d1.now = 1.0;
+  math.SampleDeltas(d1, 2.0, 1.0, noise);
   EXPECT_EQ(draws, 0);
 
-  PeriodCounters c2 = c1;
-  c2.now = 2.0;
-  c2.drained_base_load = 100 * kNominalCost;
-  c2.busy_seconds = 100 * kNominalCost;
-  PeriodMeasurement m = math.Sample(c2, 2.0, 1.0, noise);
+  PeriodDeltas d2;
+  d2.now = 2.0;
+  d2.drained_base_load = 100 * kNominalCost;
+  d2.busy_seconds = 100 * kNominalCost;
+  PeriodMeasurement m = math.SampleDeltas(d2, 2.0, 1.0, noise);
   EXPECT_EQ(draws, 1);
   EXPECT_NEAR(m.cost, 2.0 * kNominalCost, 1e-12);
 }
@@ -119,18 +120,18 @@ TEST(PeriodMathTest, CostNoiseAppliedOnlyWhenUpdateFires) {
 TEST(PeriodMathTest, MeasuredDelayUsesSuppliedDeltas) {
   PeriodMath math(kNominalCost, Opts());
 
-  PeriodCounters c;
-  c.now = 1.0;
-  c.delay_sum = 10.0;
-  c.delay_count = 5;
-  PeriodMeasurement m1 = math.Sample(c, 2.0, 1.0);
+  PeriodDeltas d;
+  d.now = 1.0;
+  d.delay_sum = 10.0;
+  d.delay_count = 5;
+  PeriodMeasurement m1 = math.SampleDeltas(d, 2.0, 1.0);
   ASSERT_TRUE(m1.has_y_measured);
   EXPECT_DOUBLE_EQ(m1.y_measured, 2.0);
 
-  c.now = 2.0;
-  c.delay_sum = 0.0;
-  c.delay_count = 0;
-  PeriodMeasurement m2 = math.Sample(c, 2.0, 1.0);
+  d.now = 2.0;
+  d.delay_sum = 0.0;
+  d.delay_count = 0;
+  PeriodMeasurement m2 = math.SampleDeltas(d, 2.0, 1.0);
   EXPECT_FALSE(m2.has_y_measured);
 }
 
@@ -141,15 +142,13 @@ TEST(PeriodMathTest, AdaptiveHeadroomConvergesUnderSaturation) {
   o.headroom_ewma = 0.5;
   PeriodMath math(kNominalCost, o);
 
-  PeriodCounters c;
-  double busy = 0.0;
+  PeriodDeltas d;
   for (int k = 1; k <= 20; ++k) {
-    c.now = static_cast<double>(k);
-    busy += 0.6;
-    c.busy_seconds = busy;
-    c.drained_base_load = busy;
-    c.queue = 100.0;  // persistently backlogged
-    math.Sample(c, 2.0, 1.0);
+    d.now = static_cast<double>(k);
+    d.busy_seconds = 0.6;
+    d.drained_base_load = 0.6;
+    d.queue = 100.0;  // persistently backlogged
+    math.SampleDeltas(d, 2.0, 1.0);
   }
   EXPECT_NEAR(math.HeadroomEstimate(), 0.6, 0.01);
 }
@@ -164,62 +163,43 @@ TEST(PeriodMathTest, AggregateHeadroomAboveOneIsAccepted) {
   o.headroom_ewma = 1.0;  // no smoothing: track the measurement exactly
   PeriodMath math(kNominalCost, o);
 
-  PeriodCounters c;
-  c.now = 1.0;
-  c.queue = 50.0;
-  math.Sample(c, 2.0, 1.0);
+  PeriodDeltas d;
+  d.now = 1.0;
+  d.queue = 50.0;
+  math.SampleDeltas(d, 2.0, 1.0);
 
-  c.now = 2.0;
-  c.busy_seconds = 3.2;  // 3.2 CPU-seconds across 4 workers in 1 s
-  c.drained_base_load = 3.2;
-  PeriodMeasurement m = math.Sample(c, 2.0, 1.0);
+  d.now = 2.0;
+  d.busy_seconds = 3.2;  // 3.2 CPU-seconds across 4 workers in 1 s
+  d.drained_base_load = 3.2;
+  PeriodMeasurement m = math.SampleDeltas(d, 2.0, 1.0);
   EXPECT_NEAR(math.HeadroomEstimate(), 3.2, 1e-12);
   // y_hat uses the online aggregate estimate.
   EXPECT_NEAR(m.y_hat, (m.queue + 1.0) * m.cost / 3.2, 1e-12);
 }
 
 TEST(PeriodMathTest, SampleDeltasMatchesCumulativeSampleExactly) {
-  // The wire path (cluster nodes ship deltas) and the local path
-  // (cumulative counters differenced internally) must share one
-  // arithmetic sequence — EXPECT_EQ, not NEAR, or the cluster identity
-  // contract breaks.
-  PeriodMath cumulative(kNominalCost, Opts());
+  // The cluster identity contract: a node ships the deltas its RtMonitor
+  // folded, and the controller folds them again. A one-slice fold must
+  // equal a bare SampleDeltas on the same deltas — EXPECT_EQ, not NEAR.
+  SliceFold fold(kNominalCost, Opts());
   PeriodMath deltas(kNominalCost, Opts());
 
-  PeriodCounters c;
-  uint64_t offered = 0;
-  uint64_t admitted_sum = 0;
-  double busy = 0.0;
   for (int k = 1; k <= 6; ++k) {
     const uint64_t d_offered = 90 + static_cast<uint64_t>(7 * k);
-    // Dyadic values only: cumulative counters are sums of the deltas, and
-    // the cumulative path re-derives deltas by subtraction, so any value
-    // that rounds on accumulation would break EXPECT_EQ for a reason that
-    // has nothing to do with the math under test.
-    const double d_busy = 0.25 + 0.125 * static_cast<double>(k);
+    const double d_busy = 0.2 + 0.1 * static_cast<double>(k);
     PeriodDeltas d;
     d.now = static_cast<double>(k);
     d.offered = d_offered;
     d.admitted = d_offered / 2;
     d.busy_seconds = d_busy;
-    d.drained_base_load = d_busy;
-    d.queue = 3.5 * static_cast<double>(k);
-    d.delay_sum = 0.75 * static_cast<double>(k);
+    d.drained_base_load = d_busy * 0.9;
+    d.queue = 3.3 * static_cast<double>(k);
+    d.delay_sum = 0.7 * static_cast<double>(k);
     d.delay_count = static_cast<uint64_t>(k);
 
-    offered += d_offered;
-    busy += d_busy;
-    admitted_sum += d.admitted;
-    c.now = d.now;
-    c.offered = offered;
-    c.admitted = admitted_sum;
-    c.busy_seconds = busy;
-    c.drained_base_load = busy;
-    c.queue = d.queue;
-    c.delay_sum = d.delay_sum;
-    c.delay_count = d.delay_count;
-
-    const PeriodMeasurement a = cumulative.Sample(c, 2.0, 1.0);
+    fold.Begin(d.now);
+    fold.Add(d);
+    const PeriodMeasurement a = fold.Sample(2.0);
     const PeriodMeasurement b = deltas.SampleDeltas(d, 2.0, 1.0);
     EXPECT_EQ(a.fin, b.fin);
     EXPECT_EQ(a.admitted, b.admitted);
@@ -236,20 +216,22 @@ TEST(PeriodMathTest, SetHeadroomRetargetsEq11KeepingCostState) {
   o.cost_ewma = 0.5;
   PeriodMath math(kNominalCost, o);
 
-  PeriodCounters c;
-  c.now = 1.0;
-  c.drained_base_load = 100 * kNominalCost;
-  c.busy_seconds = 2 * 100 * kNominalCost;
-  c.queue = 10.0;
-  const PeriodMeasurement m1 = math.Sample(c, 2.0, 1.0);
+  PeriodDeltas d;
+  d.now = 1.0;
+  d.drained_base_load = 100 * kNominalCost;
+  d.busy_seconds = 2 * 100 * kNominalCost;
+  d.queue = 10.0;
+  const PeriodMeasurement m1 = math.SampleDeltas(d, 2.0, 1.0);
 
   // Cluster membership doubles the plant: y_hat halves, but the cost EWMA
   // carries over instead of resetting to the nominal bootstrap.
   math.SetHeadroom(2.0, 2.0);
-  c.now = 2.0;
-  const PeriodMeasurement m2 = math.Sample(c, 2.0, 1.0);
+  PeriodDeltas idle;
+  idle.now = 2.0;
+  idle.queue = d.queue;
+  const PeriodMeasurement m2 = math.SampleDeltas(idle, 2.0, 1.0);
   EXPECT_EQ(m2.cost, m1.cost);  // idle period: EWMA untouched
-  EXPECT_NEAR(m2.y_hat, (c.queue + 1.0) * m2.cost / 2.0, 1e-12);
+  EXPECT_NEAR(m2.y_hat, (idle.queue + 1.0) * m2.cost / 2.0, 1e-12);
 }
 
 TEST(ProportionalSharesTest, WeightsProportionalToLoads) {
@@ -273,21 +255,24 @@ TEST(ProportionalSharesTest, SingleLoadIsExactlyOne) {
 }
 
 TEST(PeriodMathDeathTest, RejectsBackwardsCounters) {
-  PeriodMath math(kNominalCost, Opts());
-  PeriodCounters c;
-  c.now = 1.0;
-  c.offered = 10;
-  math.Sample(c, 2.0, 1.0);
-  c.now = 2.0;
-  c.offered = 5;
-  EXPECT_DEATH(math.Sample(c, 2.0, 1.0), "backwards");
+  // Deltas are formed per shard in RtMonitor, which owns the check.
+  RtMonitorOptions o;
+  o.headroom = 1.0;
+  RtMonitor mon(kNominalCost, 1, o);
+  RtSample s;
+  s.now = 1.0;
+  s.offered = 10;
+  mon.Sample({s}, 2.0);
+  s.now = 2.0;
+  s.offered = 5;
+  EXPECT_DEATH(mon.Sample({s}, 2.0), "backwards");
 }
 
 TEST(PeriodMathDeathTest, RejectsNonPositiveElapsed) {
   PeriodMath math(kNominalCost, Opts());
-  PeriodCounters c;
-  c.now = 1.0;
-  EXPECT_DEATH(math.Sample(c, 2.0, 0.0), "elapsed");
+  PeriodDeltas d;
+  d.now = 1.0;
+  EXPECT_DEATH(math.SampleDeltas(d, 2.0, 0.0), "elapsed");
 }
 
 }  // namespace

@@ -73,6 +73,27 @@ TEST(RtMonitorTest, DeltasUseActualElapsedTime) {
   EXPECT_DOUBLE_EQ(m.period, 1.0);
 }
 
+TEST(RtMonitorTest, BoundaryOnePeriodAfterThePreviousSpansExactlyT) {
+  // Boundaries built by repeated t += T (how the sim and the cluster sim
+  // compute their ticks) span exactly T, although e.g. 0.30000000000000004
+  // - 0.2 != 0.1: each period's rate divides by the nominal period itself.
+  RtMonitorOptions o = Opts();
+  o.period = 0.1;
+  RtMonitor mon(kNominalCost, 1, o);
+
+  RtSample s;
+  SimTime t = 0.0;
+  for (int k = 1; k <= 30; ++k) {
+    t += 0.1;
+    const uint64_t offered = 3 + static_cast<uint64_t>(k % 7);
+    s.now = t;
+    s.offered += offered;
+    const PeriodMeasurement m = mon.Sample({s}, 2.0);
+    EXPECT_EQ(m.fin, static_cast<double>(offered) / 0.1) << "k=" << k;
+    EXPECT_EQ(mon.shard_fin()[0], m.fin) << "k=" << k;
+  }
+}
+
 TEST(RtMonitorTest, MeasuredCostTracksBusyOverDrained) {
   RtMonitor mon(kNominalCost, 1, Opts());
 

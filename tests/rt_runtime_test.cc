@@ -444,6 +444,8 @@ TEST(RtConfigErrorTest, TableOfBadNumericKnobs) {
       {"workers", [](RtRunConfig* c) { c->workers = 65; }},
       {"compress", [](RtRunConfig* c) { c->time_compression = 0.0; }},
       {"ring", [](RtRunConfig* c) { c->ring_capacity = 0; }},
+      {"ring",
+       [](RtRunConfig* c) { c->ring_capacity = kRtMaxRingCapacity + 1; }},
       {"batch", [](RtRunConfig* c) { c->batch = 4097; }},
       {"pin_cpus", [](RtRunConfig* c) { c->pin_cpus = "0,x"; }},
   };

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,13 @@ TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(SpscRing<int>(3).capacity(), 4u);
   EXPECT_EQ(SpscRing<int>(4).capacity(), 4u);
   EXPECT_EQ(SpscRing<int>(1000).capacity(), 1024u);
+}
+
+TEST(SpscRingDeathTest, CapacityThatCannotRoundUpAborts) {
+  // Above 2^63 no power of two fits in size_t (a negative value cast to
+  // size_t lands here): the constructor aborts instead of spinning.
+  EXPECT_DEATH(SpscRing<int>(std::numeric_limits<size_t>::max()),
+               "too large");
 }
 
 TEST(SpscRingTest, FifoOrderSingleThread) {

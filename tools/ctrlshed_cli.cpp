@@ -21,7 +21,9 @@
 #include <csignal>
 
 #include <atomic>
+#include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -81,10 +83,24 @@ Args ParseArgs(int argc, char** argv, int first) {
   return args;
 }
 
+/// `text` as a number for knob `key`. Unless the whole token is a number,
+/// exits 2 naming the knob: `yd=2x` or `vary_cost=yes` is an error, not a
+/// silent 2 or 0.
+double ParseNumber(const std::string& key, const std::string& text) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0') {
+    std::fprintf(stderr, "%s must be a number, got '%s'\n", key.c_str(),
+                 text.c_str());
+    std::exit(2);
+  }
+  return v;
+}
+
 double GetDouble(Args& args, const std::string& key, double fallback) {
   auto it = args.find(key);
   if (it == args.end()) return fallback;
-  const double v = std::atof(it->second.c_str());
+  const double v = ParseNumber(key, it->second);
   args.erase(it);
   return v;
 }
@@ -97,6 +113,28 @@ double GetPositive(Args& args, const std::string& key, double fallback) {
     std::fprintf(stderr, "%s must be positive, got %g\n", key.c_str(), v);
     std::exit(2);
   }
+  return v;
+}
+
+/// Validated unsigned integer in [lo, hi] under `key`, or `fallback` when
+/// absent. Digits only: a sign, junk or an out-of-range value exits 2
+/// naming the key instead of wrapping or losing bits through a double.
+uint64_t GetUnsigned(Args& args, const std::string& key, uint64_t fallback,
+                     uint64_t lo = 0, uint64_t hi = UINT64_MAX) {
+  auto it = args.find(key);
+  if (it == args.end()) return fallback;
+  const std::string s = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (s.empty() || s[0] < '0' || s[0] > '9' || *end != '\0' ||
+      errno == ERANGE || v < lo || v > hi) {
+    std::fprintf(stderr, "%s must be an integer in [%llu, %llu], got '%s'\n",
+                 key.c_str(), static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi), s.c_str());
+    std::exit(2);
+  }
+  args.erase(it);
   return v;
 }
 
@@ -278,7 +316,7 @@ int CmdRun(Args args) {
   cfg.adapt_headroom = GetDouble(args, "adapt_H", 0.0) != 0.0;
   cfg.constant_rate = GetDouble(args, "rate", 150.0);
   cfg.pareto.beta = GetDouble(args, "beta", 1.0);
-  cfg.seed = static_cast<uint64_t>(GetDouble(args, "seed", 42.0));
+  cfg.seed = GetUnsigned(args, "seed", 42);
   const double poles = GetDouble(args, "poles", 0.7);
   cfg.gains = DesignPolePlacement(poles, poles);
   SetupTelemetry(args, &cfg);
@@ -311,20 +349,13 @@ int CmdRt(Args args) {
   cfg.base.adapt_headroom = GetDouble(args, "adapt_H", 0.0) != 0.0;
   cfg.base.constant_rate = GetDouble(args, "rate", 150.0);
   cfg.base.pareto.beta = GetDouble(args, "beta", 1.0);
-  cfg.base.seed = static_cast<uint64_t>(GetDouble(args, "seed", 42.0));
+  cfg.base.seed = GetUnsigned(args, "seed", 42);
   const double poles = GetDouble(args, "poles", 0.7);
   cfg.base.gains = DesignPolePlacement(poles, poles);
 
   cfg.time_compression = GetDouble(args, "compress", 20.0);
-  cfg.ring_capacity =
-      static_cast<size_t>(GetDouble(args, "ring", 4096.0));
-  const double batch = GetDouble(args, "batch", 1.0);
-  if (batch < 1.0 || batch > 4096.0 || batch != std::floor(batch)) {
-    std::fprintf(stderr, "batch must be an integer in [1, 4096], got %g\n",
-                 batch);
-    return 2;
-  }
-  cfg.batch = static_cast<size_t>(batch);
+  cfg.ring_capacity = GetUnsigned(args, "ring", 4096, 1, kRtMaxRingCapacity);
+  cfg.batch = static_cast<size_t>(GetUnsigned(args, "batch", 1, 1, 4096));
   cfg.batch_adaptive = GetDouble(args, "batch_adaptive", 0.0) != 0.0;
   cfg.pin_cpus = GetString(args, "pin_cpus", "");
   cfg.cost_mode = GetDouble(args, "busy_spin", 0.0) != 0.0
@@ -405,7 +436,7 @@ int CmdRt(Args args) {
 int CmdTrace(Args args) {
   const std::string kind = GetString(args, "kind", "pareto");
   const double duration = GetDouble(args, "duration", 400.0);
-  const uint64_t seed = static_cast<uint64_t>(GetDouble(args, "seed", 42.0));
+  const uint64_t seed = GetUnsigned(args, "seed", 42);
   RateTrace trace;
   if (kind == "web") {
     trace = MakeWebTrace(duration, WebTraceParams{}, seed);
@@ -426,31 +457,14 @@ int CmdTrace(Args args) {
   return 0;
 }
 
-/// Validated integer in [lo, hi] under `key`, or `fallback` when absent.
-long GetInt(Args& args, const std::string& key, long fallback, long lo,
-            long hi) {
-  auto it = args.find(key);
-  if (it == args.end()) return fallback;
-  const std::string s = it->second;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || v < lo || v > hi) {
-    std::fprintf(stderr, "%s must be an integer in [%ld, %ld], got '%s'\n",
-                 key.c_str(), lo, hi, s.c_str());
-    std::exit(2);
-  }
-  args.erase(it);
-  return v;
-}
-
 int CmdNode(Args args) {
   ClusterNodeConfig cfg;
-  cfg.node_id = static_cast<uint32_t>(GetInt(args, "id", 0, 0, 1 << 20));
+  cfg.node_id = static_cast<uint32_t>(GetUnsigned(args, "id", 0, 0, 1 << 20));
   cfg.workers = GetWorkers(args);
-  cfg.ingress_port = static_cast<int>(GetInt(args, "port", 0, 0, 65535));
+  cfg.ingress_port = static_cast<int>(GetUnsigned(args, "port", 0, 0, 65535));
   cfg.controller_host = GetString(args, "controller_host", "127.0.0.1");
   cfg.controller_port =
-      static_cast<int>(GetInt(args, "controller_port", 0, 0, 65535));
+      static_cast<int>(GetUnsigned(args, "controller_port", 0, 0, 65535));
   cfg.base.duration = GetDouble(args, "duration", 60.0);
   cfg.base.period = GetDouble(args, "T", 1.0);
   cfg.base.target_delay = GetDouble(args, "yd", 2.0);
@@ -459,10 +473,10 @@ int CmdNode(Args args) {
   cfg.base.capacity_rate = GetDouble(args, "capacity", 190.0);
   cfg.base.vary_cost = GetDouble(args, "vary_cost", 0.0) != 0.0;
   cfg.base.adapt_headroom = GetDouble(args, "adapt_H", 0.0) != 0.0;
-  cfg.base.seed = static_cast<uint64_t>(GetDouble(args, "seed", 42.0));
+  cfg.base.seed = GetUnsigned(args, "seed", 42);
   cfg.time_compression = GetDouble(args, "compress", 20.0);
-  cfg.ring_capacity = static_cast<size_t>(GetDouble(args, "ring", 4096.0));
-  cfg.batch = static_cast<size_t>(GetInt(args, "batch", 1, 1, 4096));
+  cfg.ring_capacity = GetUnsigned(args, "ring", 4096, 1, kRtMaxRingCapacity);
+  cfg.batch = static_cast<size_t>(GetUnsigned(args, "batch", 1, 1, 4096));
   cfg.pin_cpus = GetString(args, "pin_cpus", "");
   cfg.cost_mode = GetDouble(args, "busy_spin", 0.0) != 0.0
                       ? RtCostMode::kBusySpin
@@ -518,7 +532,7 @@ int CmdNode(Args args) {
 
 int CmdCluster(Args args) {
   ClusterControllerConfig cfg;
-  cfg.port = static_cast<int>(GetInt(args, "port", 0, 0, 65535));
+  cfg.port = static_cast<int>(GetUnsigned(args, "port", 0, 0, 65535));
   cfg.base.duration = GetDouble(args, "duration", 60.0);
   cfg.base.period = GetDouble(args, "T", 1.0);
   cfg.base.target_delay = GetDouble(args, "yd", 2.0);
@@ -531,8 +545,8 @@ int CmdCluster(Args args) {
   const double poles = GetDouble(args, "poles", 0.7);
   cfg.base.gains = DesignPolePlacement(poles, poles);
   cfg.stale_periods =
-      static_cast<int>(GetInt(args, "stale_periods", 3, 1, 1000));
-  cfg.min_nodes = static_cast<int>(GetInt(args, "min_nodes", 0, 0, 1024));
+      static_cast<int>(GetUnsigned(args, "stale_periods", 3, 1, 1000));
+  cfg.min_nodes = static_cast<int>(GetUnsigned(args, "min_nodes", 0, 0, 1024));
   cfg.time_compression = GetPositive(args, "compress", 20.0);
   const bool gate = GetDouble(args, "gate", 0.0) != 0.0;
   const std::string trace_out = GetString(args, "trace_out", "");
@@ -605,9 +619,10 @@ int CmdCluster(Args args) {
 int CmdFeed(Args args) {
   ClusterFeedConfig cfg;
   cfg.host = GetString(args, "host", "127.0.0.1");
-  cfg.port = static_cast<int>(GetInt(args, "port", 0, 1, 65535));
-  cfg.source_id = static_cast<uint32_t>(GetInt(args, "source", 0, 0, 1 << 20));
-  cfg.sources = static_cast<int>(GetInt(args, "sources", 1, 1, 64));
+  cfg.port = static_cast<int>(GetUnsigned(args, "port", 0, 1, 65535));
+  cfg.source_id =
+      static_cast<uint32_t>(GetUnsigned(args, "source", 0, 0, 1 << 20));
+  cfg.sources = static_cast<int>(GetUnsigned(args, "sources", 1, 1, 64));
   cfg.rate_scale = GetPositive(args, "scale", 1.0);
   cfg.base.workload = ParseWorkload(GetString(args, "workload", "web"));
   cfg.base.duration = GetDouble(args, "duration", 60.0);
@@ -616,7 +631,7 @@ int CmdFeed(Args args) {
   if (args.count("mean_rate") != 0) {
     cfg.base.web.mean_rate = GetDouble(args, "mean_rate", 0.0);
   }
-  cfg.base.seed = static_cast<uint64_t>(GetDouble(args, "seed", 42.0));
+  cfg.base.seed = GetUnsigned(args, "seed", 42);
   cfg.time_compression = GetPositive(args, "compress", 20.0);
   RejectLeftovers(args);
   if (ConfigFails("feed", ExperimentConfigError(cfg.base))) return 2;
@@ -669,7 +684,7 @@ int CmdTraceMerge(int argc, char** argv) {
         continue;
       }
       if (key == "require_period_overlap") {
-        require_overlap = std::atof(val.c_str()) != 0.0;
+        require_overlap = ParseNumber(key, val) != 0.0;
         continue;
       }
       std::fprintf(stderr, "unknown trace-merge option '%s'\n", key.c_str());
