@@ -10,8 +10,7 @@
 // between pumps, so a telemetry implementation that blocks or contends
 // widens the intervals.
 //
-//   overhead_telemetry [duration=40] [compress=20] [rate=380] [reps=2]
-//                      [out=out/overhead_telemetry] [cluster=1]
+// Knobs: OverheadArgs' rows in tools/cli/commands.h.
 //
 // Emits BENCH_telemetry.json (per-config pump stats and percent deltas
 // vs. telemetry-off). Exit 0 iff the server-attached mean pump interval
@@ -33,14 +32,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "cli/commands.h"
 #include "cluster/controller_runner.h"
 #include "cluster/feeder.h"
 #include "cluster/node_runner.h"
@@ -49,27 +47,6 @@
 using namespace ctrlshed;
 
 namespace {
-
-double Arg(int argc, char** argv, const char* key, double fallback) {
-  const size_t keylen = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, keylen) == 0 && argv[i][keylen] == '=') {
-      return std::atof(argv[i] + keylen + 1);
-    }
-  }
-  return fallback;
-}
-
-std::string StrArg(int argc, char** argv, const char* key,
-                   const char* fallback) {
-  const size_t keylen = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, keylen) == 0 && argv[i][keylen] == '=') {
-      return argv[i] + keylen + 1;
-    }
-  }
-  return fallback;
-}
 
 /// A deliberately fast SSE subscriber: connects to /timeline and drains
 /// everything the server sends until the run's teardown closes the
@@ -137,15 +114,7 @@ struct RunStats {
 
 enum class Mode { kOff, kFile, kServer };
 
-RunStats RunOnce(Mode mode, double duration, double compress, double rate,
-                 const std::string& out_dir) {
-  RtRunConfig cfg;
-  cfg.base.method = Method::kCtrl;
-  cfg.base.workload = WorkloadKind::kConstant;
-  cfg.base.constant_rate = rate;
-  cfg.base.duration = duration;
-  cfg.time_compression = compress;
-  cfg.base.seed = 42;
+RunStats RunOnce(Mode mode, RtRunConfig cfg, const std::string& out_dir) {
   SseDrain drain;
   if (mode != Mode::kOff) cfg.base.telemetry.dir = out_dir;
   if (mode == Mode::kServer) {
@@ -387,11 +356,17 @@ int main(int argc, char** argv) {
   bench::Banner("overhead_telemetry",
                 "pump-loop overhead of file telemetry and the live server");
 
-  const double duration = Arg(argc, argv, "duration", 40.0);
-  const double compress = Arg(argc, argv, "compress", 20.0);
-  const double rate = Arg(argc, argv, "rate", 380.0);
-  const int reps = static_cast<int>(Arg(argc, argv, "reps", 2.0));
-  const std::string out = StrArg(argc, argv, "out", "out/overhead_telemetry");
+  OverheadArgs args;
+  if (const std::string error = Parse(argc - 1, argv + 1, &args);
+      !error.empty()) {
+    std::fprintf(stderr, "overhead_telemetry: %s\n", error.c_str());
+    return 2;
+  }
+  const double duration = args.cfg.base.duration;
+  const double compress = args.cfg.time_compression;
+  const double rate = args.cfg.base.constant_rate;
+  const int reps = args.reps;
+  const std::string& out = args.out;
 
   std::printf("constant %.0f t/s vs ~190 t/s capacity, %.0f trace s at "
               "%gx compression, best of %d reps per config\n\n",
@@ -403,7 +378,7 @@ int main(int argc, char** argv) {
     for (int rep = 0; rep < reps; ++rep) {
       const std::string dir =
           out + "/" + ModeName(modes[m]) + "_rep" + std::to_string(rep);
-      const RunStats s = RunOnce(modes[m], duration, compress, rate, dir);
+      const RunStats s = RunOnce(modes[m], args.cfg, dir);
       if (rep == 0 || s.mean < best[m].mean) best[m] = s;
     }
     PrintStats(ModeName(modes[m]), best[m]);
@@ -438,7 +413,7 @@ int main(int argc, char** argv) {
               pass ? "PASS" : "FAIL", pass ? "within" : "exceeds");
 
   bool fleet_pass = true;
-  if (Arg(argc, argv, "cluster", 1.0) != 0.0) {
+  if (args.cluster) {
     fleet_pass = RunClusterCell(duration, compress, reps, out);
   }
   return pass && fleet_pass ? 0 : 1;

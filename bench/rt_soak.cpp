@@ -9,20 +9,9 @@
 // Time compression (trace seconds per wall second) keeps the soak CI-sized;
 // pass compress=1 for a true real-time hour-of-the-day soak.
 //
-//   rt_soak [duration=60] [compress=15] [yd=2] [overload=2] [seed=42]
-//           [workers=1] [batch=1] [batch_adaptive=0|1] [pin=0|1]
-//           [telemetry_dir=DIR] [telemetry_port=N]
-//
-// batch=B sets the datapath batch size (SPSC pop run length and engine
-// invocation quantum; see RtEngineOptions::batch). 1 is the bit-identical
-// per-tuple path. batch_adaptive=1 lets the controller adapt each worker's
-// quantum per period (grow past B under backlog, shrink back with latency
-// headroom). pin=1 pins worker i to CPU i % ncpu (see rt/cpu_affinity.h);
-// best-effort, a no-op where affinity is unsupported.
-//
-// telemetry_port=N serves the live control-loop feed over HTTP while the
-// soak runs (N=0 picks an ephemeral port, printed at startup): /metrics,
-// /status, /timeline (SSE), and the dashboard at /.
+// Its knobs (duration, compress, yd, overload, seed, workers, batch,
+// batch_adaptive, pin, telemetry_dir, telemetry_port) are SoakArgs' rows in
+// tools/cli/commands.h; an unknown key lists them.
 //
 // workers=N shards the plant across N engine workers under one aggregate
 // feedback loop. `overload` stays defined against ONE worker's capacity,
@@ -43,40 +32,17 @@
 // quantifying the thread-scheduling noise the rt runtime adds over the
 // sim.
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "bench_util.h"
+#include "cli/commands.h"
 #include "common/table_printer.h"
 #include "rt/rt_runtime.h"
 
 using namespace ctrlshed;
 
 namespace {
-
-double Arg(int argc, char** argv, const char* key, double fallback) {
-  const size_t keylen = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, keylen) == 0 && argv[i][keylen] == '=') {
-      return std::atof(argv[i] + keylen + 1);
-    }
-  }
-  return fallback;
-}
-
-std::string StrArg(int argc, char** argv, const char* key,
-                   const char* fallback) {
-  const size_t keylen = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, keylen) == 0 && argv[i][keylen] == '=') {
-      return argv[i] + keylen + 1;
-    }
-  }
-  return fallback;
-}
 
 void PrintJitter(const char* label, const LatencyHistogram& h) {
   std::printf("%s p50/p95/p99    %.3f / %.3f / %.3f ms  "
@@ -113,48 +79,17 @@ void PrintShardBreakdown(const RtRunResult& r) {
 int main(int argc, char** argv) {
   bench::Banner("rt_soak", "wall-clock overload soak of the rt runtime");
 
-  const double duration = Arg(argc, argv, "duration", 60.0);
-  const double compress = Arg(argc, argv, "compress", 15.0);
-  const double yd = Arg(argc, argv, "yd", 2.0);
-  const double overload = Arg(argc, argv, "overload", 2.0);
-  const uint64_t seed = static_cast<uint64_t>(Arg(argc, argv, "seed", 42.0));
-  const double workers_raw = Arg(argc, argv, "workers", 1.0);
-  if (workers_raw < 1.0 || workers_raw > 64.0 ||
-      workers_raw != std::floor(workers_raw)) {
-    std::fprintf(stderr, "workers must be an integer in [1, 64]\n");
+  SoakArgs args;
+  if (const std::string error = Parse(argc - 1, argv + 1, &args);
+      !error.empty()) {
+    std::fprintf(stderr, "rt_soak: %s\n", error.c_str());
     return 2;
   }
-  const int workers = static_cast<int>(workers_raw);
-  const double batch_raw = Arg(argc, argv, "batch", 1.0);
-  if (batch_raw < 1.0 || batch_raw > 4096.0 ||
-      batch_raw != std::floor(batch_raw)) {
-    std::fprintf(stderr, "batch must be an integer in [1, 4096]\n");
-    return 2;
-  }
-
-  RtRunConfig cfg;
-  cfg.base.method = Method::kCtrl;
-  cfg.base.workload = WorkloadKind::kWeb;
-  // The Fig. 13 web workload, rescaled so its long-run mean is a sustained
-  // `overload` multiple of ONE worker's capacity threshold (the trace is
-  // the same for every workers=N, so runs are comparable).
-  cfg.base.web.mean_rate = overload * cfg.base.capacity_rate;
-  cfg.base.duration = duration;
-  cfg.base.target_delay = yd;
-  cfg.base.seed = seed;
-  cfg.time_compression = compress;
-  cfg.workers = workers;
-  cfg.batch = static_cast<size_t>(batch_raw);
-  cfg.batch_adaptive = Arg(argc, argv, "batch_adaptive", 0.0) != 0.0;
-  if (Arg(argc, argv, "pin", 0.0) != 0.0) cfg.pin_cpus = "auto";
-  cfg.base.telemetry.dir = StrArg(argc, argv, "telemetry_dir", "");
-  const double port_raw = Arg(argc, argv, "telemetry_port", -1.0);
-  if (port_raw < -1.0 || port_raw > 65535.0 ||
-      port_raw != std::floor(port_raw)) {
-    std::fprintf(stderr, "telemetry_port must be an integer in [0, 65535]\n");
-    return 2;
-  }
-  cfg.base.telemetry.server_port = static_cast<int>(port_raw);
+  RtRunConfig& cfg = args.cfg;
+  const double duration = cfg.base.duration;
+  const double compress = cfg.time_compression;
+  const double yd = cfg.base.target_delay;
+  const int workers = cfg.workers;
   cfg.base.telemetry.on_server_start = [](int port) {
     std::printf("telemetry server: http://127.0.0.1:%d/ "
                 "(/metrics /status /timeline)\n",
@@ -206,31 +141,9 @@ int main(int argc, char** argv) {
                     row.alpha});
   }
 
-  // Converged delay: mean y_hat after the transient (~3 control periods;
-  // we allow one extra for the cold-start cost estimate), over the
-  // OVERLOADED periods. During a burst lull (fin below capacity) the
-  // correct outcome is a delay below the setpoint — a shedder cannot
-  // create delay — so only overloaded periods test the tracking.
-  const int kConvergedAfter = 4;
-  double sum = 0.0;
-  int n = 0;
-  int lulls = 0;
-  double sum_all = 0.0;
-  int n_all = 0;
-  for (const PeriodRecord& row : r.recorder.rows()) {
-    if (row.m.k <= kConvergedAfter) continue;
-    sum_all += row.m.y_hat;
-    ++n_all;
-    if (row.m.fin < agg_capacity) {
-      ++lulls;
-      continue;
-    }
-    sum += row.m.y_hat;
-    ++n;
-  }
-  const double mean_yhat = n > 0 ? sum / n : 0.0;
-  const double rel_err = std::abs(mean_yhat - yd) / yd;
-  const double mean_yhat_all = n_all > 0 ? sum_all / n_all : 0.0;
+  // Only overloaded periods test the tracking: during a burst lull (fin
+  // below capacity) a shedder cannot create delay (metrics/TrackingGate).
+  const TrackingVerdict gate = TrackingGate(r.recorder, yd, agg_capacity);
 
   std::printf("\n");
   std::printf("offered %llu, shed %llu (loss %.3f), departures %llu, "
@@ -271,23 +184,18 @@ int main(int argc, char** argv) {
   }
   std::printf("converged mean y    %.3f s (setpoint %.3f s, error %.1f%%, "
               "%d overloaded periods, %d lulls excluded)\n",
-              mean_yhat, yd, 100.0 * rel_err, n, lulls);
+              gate.mean_overloaded, yd, 100.0 * gate.error, gate.overloaded,
+              gate.converged - gate.overloaded);
 
-  // Tracking gate. With >= 8 overloaded periods the converged estimate
-  // must sit within +/-20% of the setpoint; a trace that never overloads
-  // the aggregate (sharded headroom swallowed the burst) must instead
-  // keep the estimate at or below the setpoint band.
-  bool pass;
-  if (n >= 8) {
-    pass = rel_err <= 0.20;
+  bool pass = gate.pass;
+  if (gate.tracked()) {
     std::printf("%s: converged delay within +/-20%% of setpoint under "
                 "overload\n",
                 pass ? "PASS" : "FAIL");
   } else {
-    pass = n_all >= 8 && mean_yhat_all <= 1.2 * yd;
     std::printf("%s: aggregate never overloaded (%d overloaded periods); "
                 "mean y %.3f s stays at or below the setpoint band\n",
-                pass ? "PASS" : "FAIL", n, mean_yhat_all);
+                pass ? "PASS" : "FAIL", gate.overloaded, gate.mean_converged);
   }
 
   // Sharding dividend gate: on the same trace, N workers must shed

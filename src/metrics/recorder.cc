@@ -93,4 +93,24 @@ void Recorder::WriteCsv(std::ostream& out) const {
   for (const PeriodRecord& r : rows_) WritePeriodCsvRow(ValuesOf(r), out);
 }
 
+TrackingVerdict TrackingGate(const Recorder& recorder, double yd,
+                             double capacity) {
+  TrackingVerdict v;
+  double sum_overloaded = 0.0, sum_converged = 0.0;
+  for (const PeriodRecord& row : recorder.rows()) {
+    if (row.m.k <= 4) continue;
+    sum_converged += row.m.y_hat;
+    ++v.converged;
+    if (row.m.fin < capacity) continue;
+    sum_overloaded += row.m.y_hat;
+    ++v.overloaded;
+  }
+  if (v.overloaded > 0) v.mean_overloaded = sum_overloaded / v.overloaded;
+  if (v.converged > 0) v.mean_converged = sum_converged / v.converged;
+  v.error = std::abs(v.mean_overloaded - yd) / yd;
+  v.pass = v.tracked() ? v.error <= 0.20
+                       : v.converged >= 8 && v.mean_converged <= 1.2 * yd;
+  return v;
+}
+
 }  // namespace ctrlshed

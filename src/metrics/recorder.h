@@ -158,6 +158,27 @@ class Recorder {
   std::vector<PeriodRecord> rows_;
 };
 
+/// The soak's tracking gate over a run's periods, as rt_soak and
+/// `ctrlshed cluster gate=1` apply it. Periods k <= 4 are skipped: the
+/// transient takes about three, plus one for the cold-start cost estimate.
+/// With at least 8 overloaded periods (fin at or above
+/// `capacity`) it passes when their mean y_hat is within +/-20% of `yd`.
+/// Otherwise the run never overloaded, and a shedder cannot create delay:
+/// it passes when at least 8 periods converged and their mean y_hat is at
+/// most 1.2 yd.
+struct TrackingVerdict {
+  bool pass = false;
+  int converged = 0;   ///< Periods with k > 4.
+  int overloaded = 0;  ///< Of those, periods with fin >= capacity.
+  double mean_overloaded = 0.0;  ///< Mean y_hat of the overloaded periods.
+  double error = 0.0;            ///< |mean_overloaded - yd| / yd.
+  double mean_converged = 0.0;   ///< Mean y_hat of the converged periods.
+  /// Whether the +/-20% branch judged the run.
+  bool tracked() const { return overloaded >= 8; }
+};
+TrackingVerdict TrackingGate(const Recorder& recorder, double yd,
+                             double capacity);
+
 }  // namespace ctrlshed
 
 #endif  // CTRLSHED_METRICS_RECORDER_H_

@@ -1,5 +1,6 @@
 #include "runner/experiment.h"
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -69,6 +70,10 @@ std::string ExperimentConfigError(const ExperimentConfig& config) {
   if (!fraction(config.headroom_true)) return "H_true must be in (0, 1]";
   if (!fraction(config.cost_ewma)) return "cost_ewma must be in (0, 1]";
   if (!(config.estimation_noise >= 0.0)) return "noise must be non-negative";
+  if (!(config.pareto.beta > 0.0)) return "beta must be positive";
+  if (!(config.constant_rate >= 0.0 && std::isfinite(config.constant_rate))) {
+    return "rate must be finite and non-negative";
+  }
   for (const auto& [when, yd] : config.setpoint_schedule) {
     if (!(when >= 0.0 && when <= config.duration && yd > 0.0)) {
       return "setpoint changes must lie inside the run, with yd > 0";

@@ -113,9 +113,10 @@ struct ExperimentResult {
   HealthReport health;      ///< Health verdict at the end of the run.
 };
 
-/// Validates the knobs every runner shares: duration, T, yd and capacity
-/// positive; H, H_true and cost_ewma in (0, 1]; noise non-negative; every
-/// setpoint change inside the run with yd > 0. Returns an empty string
+/// Validates the knobs every runner shares: duration, T, yd, capacity and
+/// the Pareto beta positive; H, H_true and cost_ewma in (0, 1]; noise
+/// non-negative; the constant rate finite and non-negative; every setpoint
+/// change inside the run with yd > 0. Returns an empty string
 /// when runnable, else a message naming the offending knob. CLIs exit 2
 /// on a non-empty result; the runners CS_CHECK it.
 std::string ExperimentConfigError(const ExperimentConfig& config);

@@ -224,6 +224,7 @@ TEST(ExperimentTest, ConfigErrorNamesEachBadKnob) {
   ExperimentConfig edge;  // the closed ends of every range are runnable
   edge.headroom_est = edge.headroom_true = edge.cost_ewma = 1.0;
   edge.setpoint_schedule = {{0.0, 1.0}, {edge.duration, 3.0}};
+  edge.constant_rate = 0.0;  // an empty run
   EXPECT_EQ(ExperimentConfigError(edge), "");
 
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -241,6 +242,14 @@ TEST(ExperimentTest, ConfigErrorNamesEachBadKnob) {
       {"H_true", [](ExperimentConfig* c) { c->headroom_true = 1.5; }},
       {"cost_ewma", [](ExperimentConfig* c) { c->cost_ewma = 0.0; }},
       {"noise", [](ExperimentConfig* c) { c->estimation_noise = -1.0; }},
+      {"beta", [](ExperimentConfig* c) { c->pareto.beta = 0.0; }},
+      {"beta", [nan](ExperimentConfig* c) { c->pareto.beta = nan; }},
+      {"rate", [](ExperimentConfig* c) { c->constant_rate = -3.0; }},
+      {"rate", [nan](ExperimentConfig* c) { c->constant_rate = nan; }},
+      {"rate",
+       [](ExperimentConfig* c) {
+         c->constant_rate = std::numeric_limits<double>::infinity();
+       }},
       {"setpoint",
        [](ExperimentConfig* c) { c->setpoint_schedule = {{-1.0, 3.0}}; }},
       {"setpoint",

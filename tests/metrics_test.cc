@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "metrics/qos_metrics.h"
@@ -91,6 +92,70 @@ TEST(RecorderTest, EmptyRecorder) {
   // Header only: one line.
   EXPECT_FALSE(out.str().empty());
   EXPECT_EQ(out.str().find('\n'), out.str().size() - 1);
+}
+
+/// A recorder of `n` periods k = 1..n, each with the given fin and y_hat.
+Recorder GateRows(int n, double fin, double y_hat) {
+  Recorder rec;
+  for (int k = 1; k <= n; ++k) {
+    PeriodRecord row;
+    row.m.k = k;
+    row.m.fin = fin;
+    row.m.y_hat = y_hat;
+    rec.Record(row);
+  }
+  return rec;
+}
+
+TEST(TrackingGateTest, OverloadedPeriodsTrackWithinTwentyPercent) {
+  // 12 periods at fin = capacity: k <= 4 skipped, 8 overloaded remain.
+  for (const auto& [y_hat, pass] :
+       {std::pair{2.0, true}, {2.39, true}, {1.61, true}, {2.41, false},
+        {1.59, false}}) {
+    const TrackingVerdict v = TrackingGate(GateRows(12, 190.0, y_hat), 2.0,
+                                           190.0);
+    EXPECT_TRUE(v.tracked());
+    EXPECT_EQ(v.overloaded, 8);
+    EXPECT_EQ(v.converged, 8);
+    EXPECT_DOUBLE_EQ(v.mean_overloaded, y_hat);
+    EXPECT_EQ(v.pass, pass) << y_hat;
+  }
+}
+
+TEST(TrackingGateTest, NeverOverloadedKeepsDelayUnderTheBand) {
+  // fin below capacity: the run never overloaded.
+  for (const auto& [y_hat, pass] :
+       {std::pair{0.5, true}, {2.39, true}, {2.41, false}}) {
+    const TrackingVerdict v = TrackingGate(GateRows(12, 100.0, y_hat), 2.0,
+                                           190.0);
+    EXPECT_FALSE(v.tracked());
+    EXPECT_EQ(v.overloaded, 0);
+    EXPECT_DOUBLE_EQ(v.mean_converged, y_hat);
+    EXPECT_EQ(v.pass, pass) << y_hat;
+  }
+  // Seven converged periods are too few to judge.
+  EXPECT_FALSE(TrackingGate(GateRows(11, 100.0, 0.5), 2.0, 190.0).pass);
+}
+
+TEST(TrackingGateTest, TransientPeriodsAreIgnored) {
+  // Periods k <= 4 carry a wild delay; only k > 4 count.
+  const std::vector<PeriodRecord> rows = GateRows(12, 190.0, 2.0).rows();
+  Recorder mixed;
+  for (PeriodRecord row : rows) {
+    if (row.m.k <= 4) row.m.y_hat = 100.0;
+    mixed.Record(row);
+  }
+  const TrackingVerdict v = TrackingGate(mixed, 2.0, 190.0);
+  EXPECT_TRUE(v.pass);
+  EXPECT_EQ(v.converged, 8);
+  EXPECT_DOUBLE_EQ(v.mean_overloaded, 2.0);
+  // With 7 overloaded periods the +/-20% branch does not judge the run.
+  mixed = Recorder();
+  for (PeriodRecord row : rows) {
+    if (row.m.k == 12) row.m.fin = 100.0;
+    mixed.Record(row);
+  }
+  EXPECT_FALSE(TrackingGate(mixed, 2.0, 190.0).tracked());
 }
 
 std::vector<std::string> SplitCsvLine(const std::string& line) {
