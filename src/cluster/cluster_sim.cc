@@ -13,7 +13,6 @@
 #include "rt/rt_clock.h"
 #include "rt/rt_loop.h"
 #include "rt/rt_runtime.h"
-#include "rt/rt_stats.h"
 #include "sim/simulation.h"
 #include "workload/arrival_source.h"
 
@@ -24,12 +23,15 @@ namespace {
 /// One simulated node: the socket node's plant, fed by its slices of the
 /// arrival trace and pumped by simulation events, not worker threads.
 struct SimNode {
-  uint32_t id = 0;
+  SimNode(uint32_t node_id, const ExperimentConfig& base,
+          const RtPlantConfig& config, const RtClock* clock)
+      : id(node_id), plant(BuildRtPlant(base, config, nullptr, clock)) {}
+
+  uint32_t id;
   bool dead = false;
   RtPlant plant;
   std::unique_ptr<NodeAgent> agent;
   std::mutex mu;  ///< AdmitToShard's shedder lock (uncontended here).
-  uint64_t plan_seq = 0;
 };
 
 }  // namespace
@@ -65,30 +67,24 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
   // replays stream g), so nodes=1 replays the rt runtime's streams exactly.
   std::vector<ArrivalSource> sources =
       ArrivalSourcesFor(base, config.nodes * config.workers_per_node);
+  RtPlantConfig plant_config;
+  plant_config.workers = config.workers_per_node;
   std::vector<std::unique_ptr<SimNode>> nodes;
   nodes.reserve(static_cast<size_t>(config.nodes));
   for (int n = 0; n < config.nodes; ++n) {
-    auto node = std::make_unique<SimNode>();
-    node->id = static_cast<uint32_t>(n);
-    node->plant = BuildRtPlant(base, config.workers_per_node, /*pin_cpus=*/"",
-                               RtEngineOptions{}, &clock);
-    for (const auto& engine : node->plant.engines) {
-      engine->SetDepartureCallback(
-          [&qos](const Departure& d) { qos.OnDeparture(d); });
-    }
-    std::vector<Shedder*> shedders;
-    for (const RtShard& shard : node->plant.shards) {
-      shedders.push_back(shard.shedder);
-    }
+    auto node = std::make_unique<SimNode>(static_cast<uint32_t>(n), base,
+                                          plant_config, &clock);
+    node->plant.SetDepartureCallback(
+        [&qos](const Departure& d) { qos.OnDeparture(d); });
     node->agent = std::make_unique<NodeAgent>(
-        nominal_cost, shedders, NodeAgentOptionsFor(base, node->id));
+        nominal_cost, node->plant.shedders(),
+        NodeAgentOptionsFor(base, node->id));
     // In-network budgets go out through the plan handshake, as in the
     // socket node; the shard's following pumps drain them.
-    SimNode* node_raw = node.get();
+    RtPlant* plant = &node->plant;
     node->agent->SetBudgetPoster(
-        [node_raw](size_t i, const ActuationPlan& plan) {
-          node_raw->plant.engines[i]->stats()->PostPlan(
-              plan, ++node_raw->plan_seq);
+        [plant](size_t i, const ActuationPlan& plan) {
+          plant->PostPlan(i, plan);
         });
     nodes.push_back(std::move(node));
   }
@@ -132,14 +128,15 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
   size_t g = 0;  // cluster-wide shard index
   for (const auto& node_ptr : nodes) {
     SimNode* node = node_ptr.get();
-    for (const RtShard& shard : node->plant.shards) {
-      sources[g++].Start(&sim, [node, shard](const Tuple& t) {
+    for (size_t i = 0; i < node->plant.size(); ++i) {
+      RtEngine* engine = node->plant.engine(i);
+      Shedder* shedder = node->plant.shedder(i);
+      sources[g++].Start(&sim, [node, engine, shedder](const Tuple& t) {
         // A dead node's producers write into a closed socket: the tuples
         // vanish before any counter on the node side sees them.
         if (node->dead) return;
-        AdmitToShard(shard.engine, shard.shedder, &node->mu,
-                     /*local_source=*/0, &t, 1);
-        shard.engine->Pump(t.arrival_time);
+        AdmitToShard(engine, shedder, &node->mu, /*local_source=*/0, &t, 1);
+        engine->Pump(t.arrival_time);
       });
     }
   }
@@ -155,11 +152,8 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
     sim.ScheduleEvery(base.period, base.period, [&, node](SimTime t) {
       if (node->dead) return false;
       std::vector<RtSample> samples;
-      samples.reserve(node->plant.engines.size());
-      for (const auto& engine : node->plant.engines) {
-        engine->Pump(t);
-        samples.push_back(engine->stats()->Snapshot(t));
-      }
+      node->plant.Pump(t);
+      node->plant.Snapshot(t, &samples);
       NodeStatsReport report = node->agent->Tick(samples);
       if (config.piggyback_metrics) {
         // The sim nodes have no registry; the snapshot mirrors the same
@@ -208,9 +202,7 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
 
   sim.Run(base.duration);
   // The final pump, as a socket node's worker runs one at shutdown.
-  for (const auto& node : nodes) {
-    for (const auto& engine : node->plant.engines) engine->Pump(base.duration);
-  }
+  for (const auto& node : nodes) node->plant.Pump(base.duration);
   ctl.Flush();  // a period still waiting on delayed/lost acks
 
   // --- Results -----------------------------------------------------------
@@ -223,30 +215,24 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
   result.idle_ticks = ctl.idle_ticks();
   result.final_active_nodes = ctl.monitor().active_count();
 
-  uint64_t offered = 0;
-  uint64_t entry_shed = 0;
-  uint64_t ring_dropped = 0;
-  uint64_t queue_shed = 0;
+  RtShardSummary totals;
   for (const auto& node : nodes) {
-    ClusterSimNodeResult nr;
-    nr.node_id = node->id;
-    nr.killed = node->dead;
-    nr.final_alpha = node->agent->last_alpha();
-    for (const auto& engine : node->plant.engines) {
-      const RtSample s = engine->stats()->Snapshot(base.duration);
-      nr.offered += s.offered;
-      nr.entry_shed += s.entry_shed;
-      nr.ring_dropped += s.ring_dropped;
-      nr.queue_shed += s.queue_shed;
-      nr.departed += s.departed;
-    }
-    offered += nr.offered;
-    entry_shed += nr.entry_shed;
-    ring_dropped += nr.ring_dropped;
-    queue_shed += nr.queue_shed;
-    result.nodes.push_back(nr);
+    const RtShardSummary t = node->plant.Totals();
+    result.nodes.push_back({.node_id = node->id,
+                            .killed = node->dead,
+                            .offered = t.offered,
+                            .entry_shed = t.entry_shed,
+                            .ring_dropped = t.ring_dropped,
+                            .queue_shed = t.queue_shed,
+                            .departed = t.departed,
+                            .final_alpha = node->agent->last_alpha()});
+    totals.offered += t.offered;
+    totals.entry_shed += t.entry_shed;
+    totals.ring_dropped += t.ring_dropped;
+    totals.queue_shed += t.queue_shed;
   }
-  result.summary = qos.Summarize(offered, entry_shed, ring_dropped, queue_shed);
+  result.summary = qos.Summarize(totals.offered, totals.entry_shed,
+                                 totals.ring_dropped, totals.queue_shed);
   return result;
 }
 

@@ -39,10 +39,7 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
   const ExperimentConfig& base = config.base;
   CS_CHECK_MSG(ExperimentConfigError(base).empty(),
                "invalid config (validate with ExperimentConfigError first)");
-  CS_CHECK_MSG(RtPlantError(config.workers, config.time_compression,
-                            config.ring_capacity, config.batch,
-                            config.pin_cpus)
-                   .empty(),
+  CS_CHECK_MSG(RtPlantError(config).empty(),
                "invalid plant knobs (validate with RtPlantError first)");
   IgnoreSigPipe();  // a dying peer must never kill the node process
 
@@ -73,19 +70,9 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
   // (each node is its own plant; the cluster-wide view lives in the
   // controller's aggregation).
   RtClock clock(config.time_compression);
-  RtEngineOptions eopts;
-  eopts.ring_capacity = config.ring_capacity;
-  eopts.cost_mode = config.cost_mode;
-  eopts.pacing_wall_seconds = config.pacing_wall_seconds;
-  eopts.batch = config.batch;
-  eopts.telemetry = telemetry.get();
-  const RtPlant plant =
-      BuildRtPlant(base, workers, config.pin_cpus, eopts, &clock);
-  const std::vector<std::unique_ptr<RtEngine>>& engines = plant.engines;
-  std::vector<Shedder*> shedders;
-  for (const RtShard& shard : plant.shards) shedders.push_back(shard.shedder);
+  RtPlant plant = BuildRtPlant(base, config, telemetry.get(), &clock);
 
-  NodeAgent agent(NominalCost(base), shedders,
+  NodeAgent agent(NominalCost(base), plant.shedders(),
                   NodeAgentOptionsFor(base, config.node_id));
 
   // One plant mutex serializes the three users of the shedders/agent:
@@ -93,15 +80,10 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
   // remote actuation (control reader thread).
   std::mutex plant_mu;
 
-  // In-network budgets cross into the worker threads through the
-  // RtSharedStats plan handshake: budget + policy stored relaxed, then the
-  // bumped sequence released; the worker pump acquires the sequence and
-  // drains the budget between engine advances. `plan_seq` is guarded by
-  // plant_mu (the poster only runs inside agent.Apply).
-  uint64_t plan_seq = 0;
-  agent.SetBudgetPoster([&engines, &plan_seq](size_t i,
-                                              const ActuationPlan& plan) {
-    engines[i]->stats()->PostPlan(plan, ++plan_seq);
+  // In-network budgets cross into the workers through the plant's plan
+  // handshake. The poster only runs inside agent.Apply, under plant_mu.
+  agent.SetBudgetPoster([&plant](size_t i, const ActuationPlan& plan) {
+    plant.PostPlan(i, plan);
   });
 
   // HealthMonitor is internally locked, so the server thread may read a
@@ -135,9 +117,9 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
     }
     // Route on the unsigned wire id: any u32 source maps to a shard. Each
     // shard engine has a single local source.
-    const RtShard& shard = plant.shards[batch.source % plant.shards.size()];
-    AdmitToShard(shard.engine, shard.shedder, &plant_mu, /*local_source=*/0,
-                 batch.tuples.data(), batch.tuples.size());
+    const size_t shard = batch.source % plant.size();
+    AdmitToShard(plant.engine(shard), plant.shedder(shard), &plant_mu,
+                 /*local_source=*/0, batch.tuples.data(), batch.tuples.size());
   });
 
   // --- Control channel ----------------------------------------------------
@@ -191,7 +173,7 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
 
   const auto wall_start = std::chrono::steady_clock::now();
   clock.Start();
-  for (auto& engine : engines) engine->Start();
+  plant.Start();
   ingress.Start();
 
   if (config.controller_port > 0) {
@@ -224,7 +206,6 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
   TraceBuffer* period_buf =
       telemetry ? telemetry->RegisterThread("node.period") : nullptr;
   std::vector<RtSample> samples;
-  samples.reserve(static_cast<size_t>(workers));
   const auto stopping = [&config] { return StopRequested(config.stop); };
   for (int64_t k = 1;; ++k) {
     const SimTime boundary = static_cast<double>(k) * base.period;
@@ -233,10 +214,7 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
     if (stopping()) break;
     ScopedSpan span(period_buf, "cluster.report");
     const SimTime now = clock.Now();
-    samples.clear();
-    for (auto& engine : engines) {
-      samples.push_back(engine->stats()->Snapshot(now));
-    }
+    plant.Snapshot(now, &samples);
     NodeStatsReport report;
     {
       std::lock_guard<std::mutex> lock(plant_mu);
@@ -263,7 +241,7 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
   // (no new actuations), then the engine workers.
   ingress.Stop();
   control.Close();
-  for (auto& engine : engines) engine->Stop();
+  plant.Stop();
   const auto wall_end = std::chrono::steady_clock::now();
 
   result.wall_seconds =
@@ -276,15 +254,13 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
   if (wakeups_metric != nullptr) wakeups_metric->Store(result.ingress_wakeups);
   result.final_alpha = agent.last_alpha();
   result.health = agent.Health();
-  for (auto& engine : engines) {
-    const RtSharedStats* stats = engine->stats();
-    result.offered += stats->offered.load(std::memory_order_relaxed);
-    result.entry_shed += stats->entry_shed.load(std::memory_order_relaxed);
-    result.ring_dropped += stats->ring_dropped.load(std::memory_order_relaxed);
-    result.queue_shed += stats->queue_shed.load(std::memory_order_relaxed);
-    result.departed += stats->departed.load(std::memory_order_relaxed);
-    result.pump_intervals.Merge(engine->pump_intervals());
-  }
+  const RtShardSummary totals = plant.Totals();
+  result.offered = totals.offered;
+  result.entry_shed = totals.entry_shed;
+  result.ring_dropped = totals.ring_dropped;
+  result.queue_shed = totals.queue_shed;
+  result.departed = totals.departed;
+  result.pump_intervals = plant.PumpIntervals();
 
   if (telemetry) {
     if (telemetry->server() != nullptr) {

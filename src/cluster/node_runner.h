@@ -8,16 +8,16 @@
 
 #include "cluster/node_agent.h"
 #include "metrics/histogram.h"
-#include "rt/rt_engine.h"
+#include "rt/rt_runtime.h"
 #include "runner/experiment.h"
 #include "telemetry/health.h"
 
 namespace ctrlshed {
 
-/// Configuration of one `ctrlshed node` process: a sharded rt plant whose
-/// tuples arrive over a TCP ingress listener and whose control decisions
-/// arrive from a remote cluster controller.
-struct ClusterNodeConfig {
+/// Configuration of one `ctrlshed node` process: a sharded rt plant (the
+/// RtPlantConfig knobs) whose tuples arrive over a TCP ingress listener
+/// and whose control decisions arrive from a remote cluster controller.
+struct ClusterNodeConfig : RtPlantConfig {
   /// Period, setpoint, headrooms, capacity, cost smoothing, seed,
   /// telemetry. The workload fields are unused — arrivals come from the
   /// network, not a local replay. `vary_cost` is honored locally (the
@@ -27,7 +27,6 @@ struct ClusterNodeConfig {
   ExperimentConfig base;
 
   uint32_t node_id = 0;
-  int workers = 1;
 
   /// Tuple ingress listener; 0 picks an ephemeral port (see on_ready).
   int ingress_port = 0;
@@ -39,17 +38,6 @@ struct ClusterNodeConfig {
   std::string controller_host = "127.0.0.1";
   int controller_port = 0;
   double connect_timeout_wall = 5.0;
-
-  double time_compression = 20.0;
-  size_t ring_capacity = 4096;
-  RtCostMode cost_mode = RtCostMode::kSleep;
-  double pacing_wall_seconds = kRtPacingWallSeconds;
-  size_t batch = 1;
-
-  /// Worker core pinning, same syntax as the rt runtime's pin_cpus (see
-  /// rt/cpu_affinity.h): "" / "0" off, "auto" round-robin, or a comma
-  /// list. Best-effort; validated by RtPlantError.
-  std::string pin_cpus;
 
   /// Attach a compact metrics snapshot (counters/gauges/histogram
   /// quantiles) to every stats report so the controller can federate this
@@ -109,8 +97,8 @@ struct ClusterNodeResult {
   HealthReport health;  ///< Node-local health verdict at shutdown.
 };
 
-/// Runs one cluster node for base.duration trace seconds: W sharded
-/// RtEngines (BuildRtPlant) fed by the TCP tuple ingress through
+/// Runs one cluster node for base.duration trace seconds: the W-shard
+/// RtPlant (BuildRtPlant) fed by the TCP tuple ingress through
 /// AdmitToShard, a NodeAgent ticking every period (stats report upstream),
 /// and remote actuations applied to the entry shedders. Blocks until the
 /// run completes. CS_CHECKs ExperimentConfigError(base) and RtPlantError

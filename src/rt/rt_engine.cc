@@ -257,16 +257,7 @@ void RtEngine::WorkerLoop() {
     }
     if (pump_counter_ != nullptr) pump_counter_->Add();
 
-    const bool busy = engine_.QueuedTuples() > 0;
-    if (options_.cost_mode == RtCostMode::kBusySpin && busy) {
-      // The busy-loop cost charge: occupy the CPU until the next pump is
-      // due, as a real engine executing the queued work would.
-      while (Clock::now() < deadline &&
-             !stop_.load(std::memory_order_acquire)) {
-      }
-    } else {
-      std::this_thread::sleep_until(deadline);
-    }
+    std::this_thread::sleep_until(deadline);
     const auto now = Clock::now();
     deadline += pacing;
     if (deadline < now) deadline = now + pacing;  // don't chase a lost past

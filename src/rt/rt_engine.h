@@ -22,22 +22,9 @@ namespace ctrlshed {
 
 class OperatorTelemetry;
 
-/// How the worker charges per-tuple processing cost against real time.
-enum class RtCostMode {
-  /// Busy-loop while the engine is catching up to the wall clock: the
-  /// worker genuinely occupies the CPU for the duration of the virtual
-  /// work, so the plant is the actual processor.
-  kBusySpin,
-  /// Sleep between pumps instead of spinning. Same wall-clock dynamics
-  /// (work still completes only as real time passes), but the CPU is
-  /// yielded — the right mode for CI, sanitizers, and single-core boxes.
-  kSleep,
-};
-
 struct RtEngineOptions {
   double headroom = 0.97;        ///< TRUE CPU fraction, as in Engine.
   size_t ring_capacity = 4096;   ///< Per-source ingress ring size.
-  RtCostMode cost_mode = RtCostMode::kSleep;
   /// Pump granularity in WALL seconds: how often the worker drains the
   /// rings and advances the engine. Must be well below the control
   /// period's wall duration.

@@ -7,22 +7,18 @@
 
 #include "common/macros.h"
 #include "rt/adaptive_quantum.h"
+#include "rt/rt_runtime.h"
 #include "rt/rt_source.h"
 
 namespace ctrlshed {
 
 namespace {
-std::vector<RtShard> CheckedShards(std::vector<RtShard> shards,
-                                   const LoadController* controller) {
-  CS_CHECK_MSG(!shards.empty(), "need at least one shard");
-  for (const RtShard& s : shards) {
-    CS_CHECK(s.engine != nullptr);
-    CS_CHECK_MSG(s.engine->NominalEntryCost() ==
-                     shards[0].engine->NominalEntryCost(),
-                 "shards must be homogeneous (same nominal entry cost)");
-    if (controller != nullptr) CS_CHECK(s.shedder != nullptr);
+RtPlant* CheckedPlant(RtPlant* plant, const LoadController* controller) {
+  CS_CHECK(plant != nullptr);
+  for (size_t i = 0; controller != nullptr && i < plant->size(); ++i) {
+    CS_CHECK(plant->shedder(i) != nullptr);
   }
-  return shards;
+  return plant;
 }
 
 RtMonitorOptions ToMonitorOptions(const RtLoopOptions& options) {
@@ -65,30 +61,30 @@ void AdmitToShard(RtEngine* engine, Shedder* shedder, std::mutex* mu,
   }
 }
 
-RtLoop::RtLoop(std::vector<RtShard> shards, const RtClock* clock,
+RtLoop::RtLoop(RtPlant* plant, const RtClock* clock,
                LoadController* controller, RtLoopOptions options)
-    : shards_(CheckedShards(std::move(shards), controller)),
+    : plant_(CheckedPlant(plant, controller)),
       clock_(clock),
       controller_(controller),
       options_(options),
-      monitor_(shards_[0].engine->NominalEntryCost(),
-               static_cast<int>(shards_.size()), ToMonitorOptions(options)),
+      monitor_(plant_->engine(0)->NominalEntryCost(),
+               static_cast<int>(plant_->size()), ToMonitorOptions(options)),
       qos_(options.target_delay),
       pipeline_("rt",
-                ActuationPlannerOptions{shards_[0].engine->NominalEntryCost(),
+                ActuationPlannerOptions{plant_->engine(0)->NominalEntryCost(),
                                         options.queue_shed,
                                         options.cost_aware_shed},
                 options.telemetry),
       predictor_(MakePredictor(options.predictor)),
-      samples_(shards_.size()),
-      shedder_mutexes_(new std::mutex[shards_.size()]),
+      samples_(plant_->size()),
+      shedder_mutexes_(new std::mutex[plant_->size()]),
       target_delay_(options.target_delay) {
   CS_CHECK(clock_ != nullptr);
   CS_CHECK_MSG(options_.period > 0.0, "period must be positive");
   if (options_.adaptive_quantum) {
-    shard_quanta_.reserve(shards_.size());
-    for (const RtShard& s : shards_) {
-      shard_quanta_.push_back(s.engine->options().batch);
+    shard_quanta_.reserve(plant_->size());
+    for (size_t i = 0; i < plant_->size(); ++i) {
+      shard_quanta_.push_back(plant_->engine(i)->options().batch);
     }
   }
 
@@ -96,15 +92,13 @@ RtLoop::RtLoop(std::vector<RtShard> shards, const RtClock* clock,
   // the departure mutex (uncontended at N = 1). The setpoint is re-read
   // per departure so runtime setpoint changes are judged like the sim
   // loop judges them: against the setpoint in force at departure.
-  for (const RtShard& shard : shards_) {
-    shard.engine->SetDepartureCallback([this](const Departure& d) {
-      std::lock_guard<std::mutex> lock(departure_mutex_);
-      const double yd = target_delay_.load(std::memory_order_relaxed);
-      if (yd != qos_.target_delay()) qos_.SetTargetDelay(yd);
-      qos_.OnDeparture(d);
-      if (observer_) observer_(d);
-    });
-  }
+  plant_->SetDepartureCallback([this](const Departure& d) {
+    std::lock_guard<std::mutex> lock(departure_mutex_);
+    const double yd = target_delay_.load(std::memory_order_relaxed);
+    if (yd != qos_.target_delay()) qos_.SetTargetDelay(yd);
+    qos_.OnDeparture(d);
+    if (observer_) observer_(d);
+  });
 }
 
 RtLoop::~RtLoop() { Stop(); }
@@ -117,7 +111,7 @@ void RtLoop::SetDepartureObserver(DepartureCallback observer) {
 void RtLoop::Start() {
   CS_CHECK_MSG(!started_, "Start called twice");
   started_ = true;
-  for (const RtShard& shard : shards_) shard.engine->Start();
+  plant_->Start();
   controller_thread_ = std::thread([this] { ControllerLoop(); });
 }
 
@@ -126,7 +120,7 @@ void RtLoop::Stop() {
   stopped_ = true;
   stop_.store(true, std::memory_order_release);
   if (controller_thread_.joinable()) controller_thread_.join();
-  for (const RtShard& shard : shards_) shard.engine->Stop();
+  plant_->Stop();
 }
 
 void RtLoop::OnArrival(const Tuple& t) { OnArrivalBatch(&t, 1); }
@@ -141,12 +135,12 @@ void RtLoop::OnArrivalBatch(const Tuple* tuples, size_t n) {
   // engine's local source s / N. The global->local remap keeps the
   // one-producer-per-ring SPSC contract intact (a batch comes from one
   // source thread, so the whole batch lands on one shard).
-  const size_t shard_idx =
-      static_cast<size_t>(tuples[0].source) % shards_.size();
-  const RtShard& shard = shards_[shard_idx];
-  AdmitToShard(shard.engine, controller_ != nullptr ? shard.shedder : nullptr,
-               &shedder_mutexes_[shard_idx], tuples[0].source / num_shards(),
-               tuples, n);
+  const size_t shards = plant_->size();
+  const size_t shard = static_cast<size_t>(tuples[0].source) % shards;
+  AdmitToShard(plant_->engine(shard),
+               controller_ != nullptr ? plant_->shedder(shard) : nullptr,
+               &shedder_mutexes_[shard],
+               tuples[0].source / static_cast<int>(shards), tuples, n);
 }
 
 void RtLoop::SetTargetDelay(double yd) {
@@ -159,8 +153,8 @@ void RtLoop::ControllerLoop() {
     trace_buf_ = options_.telemetry->RegisterThread("rt.controller");
     MetricsRegistry* reg = options_.telemetry->metrics();
     lateness_metric_ = reg->GetHistogram("rt.actuation_lateness_s");
-    if (shards_.size() > 1) {
-      for (size_t i = 0; i < shards_.size(); ++i) {
+    if (plant_->size() > 1) {
+      for (size_t i = 0; i < plant_->size(); ++i) {
         const std::string prefix = "rt.shard" + std::to_string(i);
         shard_queue_gauges_.push_back(reg->GetGauge(prefix + ".queue"));
         shard_alpha_gauges_.push_back(reg->GetGauge(prefix + ".alpha"));
@@ -193,9 +187,7 @@ void RtLoop::ControlTick(SimTime now, double lateness_wall) {
     // trace instant, so the monitor folds a consistent cut of the
     // partitioned plant (per-shard skew stays bounded by one pump).
     ScopedSpan sample_span(trace_buf_, "sample");
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      samples_[i] = shards_[i].engine->stats()->Snapshot(now);
-    }
+    plant_->Snapshot(now, &samples_);
     m = monitor_.Sample(samples_,
                         target_delay_.load(std::memory_order_relaxed));
   }
@@ -206,14 +198,15 @@ void RtLoop::ControlTick(SimTime now, double lateness_wall) {
     // lone plan_quantum atomic (the worker picks it up at its next pump).
     // The configured batch is the floor — adaptation only coarsens
     // interleaving beyond it under backlog, never below it.
-    for (size_t i = 0; i < shards_.size(); ++i) {
+    for (size_t i = 0; i < plant_->size(); ++i) {
+      RtEngine* engine = plant_->engine(i);
       const QuantumSignals sig{m.y_hat, m.target_delay,
                                samples_[i].queued_tuples};
-      const QuantumLimits lim{shards_[i].engine->options().batch, 4096};
+      const QuantumLimits lim{engine->options().batch, 4096};
       const size_t next = NextQuantum(shard_quanta_[i], sig, lim);
       if (next != shard_quanta_[i]) {
         shard_quanta_[i] = next;
-        shards_[i].engine->stats()->plan_quantum.store(
+        engine->stats()->plan_quantum.store(
             static_cast<uint64_t>(next), std::memory_order_relaxed);
       }
     }
@@ -225,19 +218,16 @@ void RtLoop::ControlTick(SimTime now, double lateness_wall) {
     // shard's virtual queue is the backlog signal that crossed the stats
     // surface, and it is what clamps queue_target. The workers own the
     // queues, so the in-network budget only goes out through the handshake.
-    ++plan_seq_;
     rec.v = controller_->DesiredRate(m);
     const ActuationFold fold = pipeline_.Actuate(
         &rec, monitor_.shard_fin(), monitor_.shard_queues(),
         [this](size_t i, const ActuationPlan& plan,
                const PeriodMeasurement& mi) {
-          if (options_.queue_shed) {
-            shards_[i].engine->stats()->PostPlan(plan, plan_seq_);
-          }
+          if (options_.queue_shed) plant_->PostPlan(i, plan);
           SliceActuation s;
           {
             std::lock_guard<std::mutex> lock(shedder_mutexes_[i]);
-            s = ApplySlice(*shards_[i].shedder, plan, mi);
+            s = ApplySlice(*plant_->shedder(i), plan, mi);
           }
           if (i < shard_alpha_gauges_.size()) {
             shard_queue_gauges_[i]->Set(mi.queue);
@@ -252,37 +242,20 @@ void RtLoop::ControlTick(SimTime now, double lateness_wall) {
   actuation_lateness_.Record(lateness_wall);
   if (lateness_metric_ != nullptr) lateness_metric_->Record(lateness_wall);
   rec.h_hat = monitor_.h_hat();
-  if (shards_.size() > 1) rec.shard_q = monitor_.shard_queues();
-  // Executed in-network drops this period (lags the posted budget by up to
-  // one pump — the workers drain it asynchronously).
-  const uint64_t queue_shed_total = SumStat(&RtSharedStats::queue_shed);
+  if (plant_->size() > 1) rec.shard_q = monitor_.shard_queues();
+  // Executed in-network drops this period, as of this tick's snapshot
+  // (they lag the posted budget by up to one pump — the workers drain it
+  // asynchronously).
+  uint64_t queue_shed_total = 0;
+  for (const RtSample& s : samples_) queue_shed_total += s.queue_shed;
   rec.queue_shed = static_cast<double>(queue_shed_total - prev_queue_shed_);
   prev_queue_shed_ = queue_shed_total;
   pipeline_.Publish(std::move(rec), options_.headroom);
 }
 
-uint64_t RtLoop::SumStat(
-    std::atomic<uint64_t> RtSharedStats::* member) const {
-  uint64_t total = 0;
-  for (const RtShard& shard : shards_) {
-    total += (shard.engine->stats()->*member).load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t RtLoop::offered() const { return SumStat(&RtSharedStats::offered); }
-
-uint64_t RtLoop::entry_shed() const {
-  return SumStat(&RtSharedStats::entry_shed);
-}
-
-uint64_t RtLoop::ring_dropped() const {
-  return SumStat(&RtSharedStats::ring_dropped);
-}
-
 QosSummary RtLoop::Summary() const {
-  return qos_.Summarize(offered(), entry_shed(), ring_dropped(),
-                        SumStat(&RtSharedStats::queue_shed));
+  const RtShardSummary t = plant_->Totals();
+  return qos_.Summarize(t.offered, t.entry_shed, t.ring_dropped, t.queue_shed);
 }
 
 }  // namespace ctrlshed

@@ -20,14 +20,7 @@
 
 namespace ctrlshed {
 
-/// One partition of a sharded real-time plant: a worker-owned engine plus
-/// the entry shedder that gates its ingress. Pointees are non-owning and
-/// must outlive the loop; `shedder` may be null only in open runs (no
-/// controller).
-struct RtShard {
-  RtEngine* engine = nullptr;
-  Shedder* shedder = nullptr;
-};
+class RtPlant;
 
 /// The one shard-admission path, shared by RtLoop's replay sources and the
 /// cluster node's tuple ingress. Counts `n` tuples offered to `engine`,
@@ -103,13 +96,12 @@ struct RtLoopOptions {
 ///    after Stop() (joins give happens-before).
 class RtLoop {
  public:
-  /// Sharded plant. All pointees must outlive the loop; shards must be
-  /// homogeneous (same nominal entry cost) and not yet started, since the
-  /// loop installs its departure fan-in on each engine here. The
-  /// controller may be null (open run: admit everything); per-shard
-  /// shedders are required otherwise.
-  RtLoop(std::vector<RtShard> shards, const RtClock* clock,
-         LoadController* controller, RtLoopOptions options);
+  /// Drives `plant`, which must outlive the loop and not be started yet:
+  /// the loop installs its departure fan-in on the plant here, and
+  /// Start/Stop start and stop it. The controller may be null (open run:
+  /// admit everything); per-shard shedders are required otherwise.
+  RtLoop(RtPlant* plant, const RtClock* clock, LoadController* controller,
+         RtLoopOptions options);
   ~RtLoop();
 
   RtLoop(const RtLoop&) = delete;
@@ -119,21 +111,21 @@ class RtLoop {
   /// worker threads, serialized by the loop). Must be called before Start.
   void SetDepartureObserver(DepartureCallback observer);
 
-  /// Starts the engine workers and the periodic controller thread. The
+  /// Starts the plant's workers and the periodic controller thread. The
   /// clock must already be started.
   void Start();
 
   /// The controller thread's step at trace time `now`, with zero
-  /// lateness, for callers on virtual time: pump every shard of an
-  /// un-Started loop to `now` first, as the workers would have.
+  /// lateness, for callers on virtual time: RtPlant::Pump an un-Started
+  /// loop's plant to `now` first, as the workers would have.
   void Tick(SimTime now) { ControlTick(now, 0.0); }
 
-  /// Stops the controller thread and the engine workers. Idempotent.
+  /// Stops the controller thread, then the plant's workers. Idempotent.
   /// Stop the arrival sources first so nothing races the teardown.
   void Stop();
 
   /// Ingress entry point; one designated thread per GLOBAL tuple source
-  /// index. Routes to shard t.source % num_shards().
+  /// index. Routes to shard t.source % N of the N-shard plant.
   void OnArrival(const Tuple& t);
 
   /// Batched ingress: `n` tuples from ONE source (all t.source equal), in
@@ -146,8 +138,6 @@ class RtLoop {
   double target_delay() const {
     return target_delay_.load(std::memory_order_relaxed);
   }
-
-  int num_shards() const { return static_cast<int>(shards_.size()); }
 
   // --- Results (valid after Stop()) --------------------------------------
 
@@ -166,12 +156,6 @@ class RtLoop {
     return actuation_lateness_;
   }
 
-  // Aggregates over all shards; the per-shard decomposition is available
-  // from each shard's RtEngine stats.
-  uint64_t offered() const;
-  uint64_t entry_shed() const;
-  uint64_t ring_dropped() const;
-
   /// Total shed tuples (entry drops + ring overflow + in-network) over
   /// offered. Ring overflow counts as loss: a full ingress queue sheds
   /// load whether the controller asked for it or not.
@@ -185,9 +169,8 @@ class RtLoop {
   /// `lateness_wall` is how far (wall seconds, >= 0) past the period
   /// deadline the tick started — the actuation jitter this period.
   void ControlTick(SimTime now, double lateness_wall);
-  uint64_t SumStat(std::atomic<uint64_t> RtSharedStats::* member) const;
 
-  std::vector<RtShard> shards_;
+  RtPlant* plant_;
   const RtClock* clock_;
   LoadController* controller_;
   RtLoopOptions options_;
@@ -198,10 +181,8 @@ class RtLoop {
   DepartureCallback observer_;
   std::unique_ptr<RatePredictor> predictor_;
 
-  // Actuation plane (controller thread only): the handshake sequence
-  // posted to the workers, and the last aggregate queue-shed total (for
+  // The last aggregate queue-shed total (controller thread only; for
   // per-period timeline deltas).
-  uint64_t plan_seq_ = 0;
   uint64_t prev_queue_shed_ = 0;
 
   // Controller-thread scratch, sized once. The tick still allocates for

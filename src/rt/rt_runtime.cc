@@ -18,20 +18,18 @@
 
 namespace ctrlshed {
 
-std::string RtPlantError(int workers, double time_compression,
-                         size_t ring_capacity, size_t batch,
-                         const std::string& pin_cpus) {
-  if (workers < 1 || workers > 64) return "workers must be in [1, 64]";
-  if (!(time_compression > 0.0)) {
+std::string RtPlantError(const RtPlantConfig& c) {
+  if (c.workers < 1 || c.workers > 64) return "workers must be in [1, 64]";
+  if (!(c.time_compression > 0.0)) {
     return "compress (time compression) must be positive";
   }
-  if (ring_capacity < 1 || ring_capacity > kRtMaxRingCapacity) {
+  if (c.ring_capacity < 1 || c.ring_capacity > kRtMaxRingCapacity) {
     return "ring (capacity) must be in [1, " +
            std::to_string(kRtMaxRingCapacity) + "]";
   }
-  if (batch < 1 || batch > 4096) return "batch must be in [1, 4096]";
+  if (c.batch < 1 || c.batch > 4096) return "batch must be in [1, 4096]";
   std::string pin_error;
-  ParsePinCpus(pin_cpus, &pin_error);
+  ParsePinCpus(c.pin_cpus, &pin_error);
   return pin_error;
 }
 
@@ -49,34 +47,101 @@ std::string RtConfigError(const RtRunConfig& config) {
            "ActuationPlans, which the Aurora quota shedder does not "
            "consume — use method=ctrl, baseline, or pi with queue_shed=1";
   }
-  return RtPlantError(config.workers, config.time_compression,
-                      config.ring_capacity, config.batch, config.pin_cpus);
+  return RtPlantError(config);
 }
 
-RtPlant BuildRtPlant(const ExperimentConfig& base, int workers,
-                     const std::string& pin_cpus, RtEngineOptions engine,
+RtPlant::RtPlant(std::vector<RtShard> shards) : shards_(std::move(shards)) {
+  CS_CHECK_MSG(!shards_.empty(), "need at least one shard");
+  for (const RtShard& s : shards_) {
+    CS_CHECK(s.engine != nullptr);
+    CS_CHECK_MSG(s.engine->NominalEntryCost() ==
+                     shards_[0].engine->NominalEntryCost(),
+                 "shards must be homogeneous (same nominal entry cost)");
+  }
+}
+
+std::vector<Shedder*> RtPlant::shedders() const {
+  std::vector<Shedder*> out;
+  for (const RtShard& s : shards_) out.push_back(s.shedder.get());
+  return out;
+}
+
+void RtPlant::SetDepartureCallback(const DepartureCallback& cb) {
+  for (const RtShard& s : shards_) s.engine->SetDepartureCallback(cb);
+}
+
+void RtPlant::Start() {
+  for (const RtShard& s : shards_) s.engine->Start();
+}
+
+void RtPlant::Stop() {
+  for (const RtShard& s : shards_) s.engine->Stop();
+}
+
+void RtPlant::Pump(SimTime now) {
+  for (const RtShard& s : shards_) s.engine->Pump(now);
+}
+
+void RtPlant::Snapshot(SimTime now, std::vector<RtSample>* samples) const {
+  samples->resize(shards_.size());
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    (*samples)[i] = shards_[i].engine->stats()->Snapshot(now);
+  }
+}
+
+void RtPlant::PostPlan(size_t i, const ActuationPlan& plan) {
+  shards_[i].engine->stats()->PostPlan(plan, ++plan_seq_);
+}
+
+RtShardSummary RtPlant::Sum(size_t first, size_t last) const {
+  RtShardSummary sum;
+  for (size_t i = first; i < last; ++i) {
+    const RtSample s = shards_[i].engine->stats()->Snapshot(/*now=*/0.0);
+    sum.offered += s.offered;
+    sum.entry_shed += s.entry_shed;
+    sum.ring_dropped += s.ring_dropped;
+    sum.queue_shed += s.queue_shed;
+    sum.queue_shed_load += s.queue_shed_load;
+    sum.departed += s.departed;
+  }
+  return sum;
+}
+
+LatencyHistogram RtPlant::PumpIntervals() const {
+  LatencyHistogram merged{1e-6, 1e3, 1.08};
+  for (const RtShard& s : shards_) merged.Merge(s.engine->pump_intervals());
+  return merged;
+}
+
+RtPlant BuildRtPlant(const ExperimentConfig& base,
+                     const RtPlantConfig& config, Telemetry* telemetry,
                      const RtClock* clock) {
   const double nominal_cost = base.headroom_true / base.capacity_rate;
   std::string pin_error;
-  const PinPlan pin_plan = ParsePinCpus(pin_cpus, &pin_error);
+  const PinPlan pin_plan = ParsePinCpus(config.pin_cpus, &pin_error);
+  RtEngineOptions engine;
   engine.headroom = base.headroom_true;
-  engine.per_shard_pump_metric = workers > 1;
+  engine.ring_capacity = config.ring_capacity;
+  engine.pacing_wall_seconds = config.pacing_wall_seconds;
+  engine.batch = config.batch;
+  engine.telemetry = telemetry;
+  engine.per_shard_pump_metric = config.workers > 1;
   // One shared cost trace, sampled by each worker on its own clock.
   engine.cost_multiplier = CostMultiplierFor(base);
-  RtPlant plant;
-  for (int i = 0; i < workers; ++i) {
-    plant.nets.push_back(std::make_unique<QueryNetwork>());
-    BuildIdentificationNetwork(plant.nets.back().get(), nominal_cost);
+  std::vector<RtShard> shards;
+  for (int i = 0; i < config.workers; ++i) {
+    RtShard shard;
+    shard.net = std::make_unique<QueryNetwork>();
+    BuildIdentificationNetwork(shard.net.get(), nominal_cost);
     engine.shard_index = i;
     engine.pin_cpu = pin_plan.CpuForShard(i);
     engine.queue_shed_seed = base.seed + 6 + 7919 * static_cast<uint64_t>(i);
-    plant.engines.push_back(std::make_unique<RtEngine>(
-        plant.nets.back().get(), clock, /*num_sources=*/1, engine));
-    plant.shedders.push_back(MakeEntryShedder(base, i));
-    plant.shards.push_back(
-        RtShard{plant.engines.back().get(), plant.shedders.back().get()});
+    shard.engine = std::make_unique<RtEngine>(shard.net.get(), clock,
+                                              /*num_sources=*/1, engine);
+    shard.shedder = MakeEntryShedder(base, i);
+    shards.push_back(std::move(shard));
   }
-  return plant;
+  return RtPlant(std::move(shards));
 }
 
 RtRunResult RunRtExperiment(const RtRunConfig& config) {
@@ -108,14 +173,7 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
   ScopedSpan phase(main_buf, "setup");
 
   RtClock clock(config.time_compression);
-  RtEngineOptions eopts;
-  eopts.ring_capacity = config.ring_capacity;
-  eopts.cost_mode = config.cost_mode;
-  eopts.pacing_wall_seconds = config.pacing_wall_seconds;
-  eopts.batch = config.batch;
-  eopts.telemetry = telemetry.get();
-  const RtPlant plant =
-      BuildRtPlant(base, workers, config.pin_cpus, eopts, &clock);
+  RtPlant plant = BuildRtPlant(base, config, telemetry.get(), &clock);
 
   // One controller drives the aggregate plant; its headroom belief is the
   // aggregate's effective headroom N*H (what the monitor reports against).
@@ -133,7 +191,7 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
   lopts.adaptive_quantum = config.batch_adaptive;
   lopts.predictor = base.predictor;
   lopts.telemetry = telemetry.get();
-  RtLoop loop(plant.shards, &clock, controller.get(), lopts);
+  RtLoop loop(&plant, &clock, controller.get(), lopts);
   // Lifetime: the explicit telemetry->Stop() below shuts the server down
   // before `loop` leaves scope (failures abort, never unwind).
   if (telemetry) telemetry->SetHealthSource([&loop] { return loop.Health(); });
@@ -183,29 +241,21 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
   RtRunResult result;
   result.summary = loop.Summary();
   result.recorder = loop.recorder();
-  result.nominal_cost = plant.engines[0]->NominalEntryCost();
-  result.ring_dropped = loop.ring_dropped();
+  result.nominal_cost = plant.engine(0)->NominalEntryCost();
+  result.ring_dropped = result.summary.ring_dropped;
   for (const auto& source : sources) {
     result.replay_wakeups += source->wakeups();
   }
   result.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
   result.workers = workers;
-  for (size_t i = 0; i < plant.engines.size(); ++i) {
-    const RtSharedStats* stats = plant.engines[i]->stats();
-    RtShardSummary shard;
-    shard.offered = stats->offered.load(std::memory_order_relaxed);
-    shard.entry_shed = stats->entry_shed.load(std::memory_order_relaxed);
-    shard.ring_dropped = stats->ring_dropped.load(std::memory_order_relaxed);
-    shard.queue_shed = stats->queue_shed.load(std::memory_order_relaxed);
-    shard.queue_shed_load =
-        stats->queue_shed_load.load(std::memory_order_relaxed);
-    shard.departed = stats->departed.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < plant.size(); ++i) {
+    RtShardSummary shard = plant.Shard(i);
     shard.h_hat = loop.monitor().shard_h_hat()[i];
-    shard.pump_intervals = plant.engines[i]->pump_intervals();
+    shard.pump_intervals = plant.engine(i)->pump_intervals();
     result.shards.push_back(std::move(shard));
-    result.pump_intervals.Merge(plant.engines[i]->pump_intervals());
   }
+  result.pump_intervals = plant.PumpIntervals();
   result.actuation_lateness = loop.actuation_lateness();
   result.health = loop.Health();
 

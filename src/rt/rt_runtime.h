@@ -17,6 +17,35 @@
 
 namespace ctrlshed {
 
+/// The knobs of the sharded rt plant (BuildRtPlant) that `ctrlshed rt`
+/// and `ctrlshed node` share; RtPlantError validates them.
+struct RtPlantConfig {
+  /// Worker shards the plant is partitioned across (see RtLoop). In an rt
+  /// run the offered-rate trace is split evenly (ArrivalSourcesFor): N
+  /// replay sources, each driving its own shard with the base trace scaled
+  /// by 1/N (independent arrival draws per source), so the aggregate
+  /// offered load matches the unsharded run. 1 = the historical
+  /// single-worker runtime, bit for bit.
+  int workers = 1;
+
+  /// Trace-seconds per wall-second (see RtClock). 20 replays a 400 s
+  /// experiment in 20 wall seconds; CI soaks use more.
+  double time_compression = 20.0;
+  size_t ring_capacity = 4096;
+  double pacing_wall_seconds = kRtPacingWallSeconds;
+
+  /// Datapath batch size (see RtEngineOptions::batch): SPSC pop run length
+  /// and engine invocation quantum. 1 (default) is the seed-equivalent
+  /// per-tuple path with bit-identical control arithmetic.
+  size_t batch = 1;
+
+  /// Worker core pinning (see rt/cpu_affinity.h): "" or "0" = unpinned
+  /// (default), "auto" = shard i pins to CPU i % NumCpus(), a comma list
+  /// like "0,2,4" = shard i pins to list[i % len]. Validated by
+  /// RtPlantError; pinning itself is best-effort.
+  std::string pin_cpus;
+};
+
 /// One real-time closed-loop run. `base` carries everything the sim
 /// harness already knows how to describe — method, workload, duration,
 /// control period, setpoint (schedule), headrooms, capacity, gains,
@@ -27,39 +56,13 @@ namespace ctrlshed {
 /// actuation-plan handshake). The one remaining simulation-only knob is
 /// injected estimation noise (real noise comes free in rt); see
 /// RtConfigError.
-struct RtRunConfig {
+struct RtRunConfig : RtPlantConfig {
   ExperimentConfig base;
-
-  /// Trace-seconds per wall-second (see RtClock). 20 replays a 400 s
-  /// experiment in 20 wall seconds; CI soaks use more.
-  double time_compression = 20.0;
-  size_t ring_capacity = 4096;
-  RtCostMode cost_mode = RtCostMode::kSleep;
-  double pacing_wall_seconds = kRtPacingWallSeconds;
-
-  /// Datapath batch size (see RtEngineOptions::batch): SPSC pop run length
-  /// and engine invocation quantum. 1 (default) is the seed-equivalent
-  /// per-tuple path with bit-identical control arithmetic.
-  size_t batch = 1;
 
   /// Adapt each worker's scheduler quantum per control period (see
   /// rt/adaptive_quantum.h): grow past `batch` under backlog, shrink back
   /// with latency headroom. Off = fixed quantum `batch` for the whole run.
   bool batch_adaptive = false;
-
-  /// Worker core pinning (see rt/cpu_affinity.h): "" or "0" = unpinned
-  /// (default), "auto" = shard i pins to CPU i % NumCpus(), a comma list
-  /// like "0,2,4" = shard i pins to list[i % len]. Validated by
-  /// RtConfigError; pinning itself is best-effort.
-  std::string pin_cpus;
-
-  /// Worker shards the plant is partitioned across (see RtLoop). The
-  /// offered-rate trace is split evenly (ArrivalSourcesFor): N replay
-  /// sources, each driving its own shard with the base trace scaled by
-  /// 1/N (independent arrival draws per source), so the aggregate offered
-  /// load matches the unsharded run. 1 = the historical single-worker
-  /// runtime, bit for bit.
-  int workers = 1;
 
   /// Optional early-stop flag (e.g. set by a SIGINT handler). The main
   /// thread polls it between sleep chunks; when it flips true the run
@@ -135,9 +138,7 @@ inline constexpr size_t kRtMaxRingCapacity = size_t{1} << 20;
 /// workers in [1, 64], compress positive, ring in [1, kRtMaxRingCapacity],
 /// batch in [1, 4096], and a well-formed pin_cpus. Returns an empty string
 /// when valid, else a message naming the offending knob.
-std::string RtPlantError(int workers, double time_compression,
-                         size_t ring_capacity, size_t batch,
-                         const std::string& pin_cpus);
+std::string RtPlantError(const RtPlantConfig& config);
 
 /// Validates `config` against what the rt runtime supports
 /// (ExperimentConfigError, the rt-only limits, RtPlantError). Returns an
@@ -147,24 +148,64 @@ std::string RtPlantError(int workers, double time_compression,
 /// programming error).
 std::string RtConfigError(const RtRunConfig& config);
 
-/// The sharded plant `ctrlshed rt` and `ctrlshed node` run: shard i owns a
-/// query network, an RtEngine with one local source, and the entry shedder
-/// MakeEntryShedder(base, i).
-struct RtPlant {
-  std::vector<std::unique_ptr<QueryNetwork>> nets;
-  std::vector<std::unique_ptr<RtEngine>> engines;
-  std::vector<std::unique_ptr<Shedder>> shedders;
-  std::vector<RtShard> shards;  ///< Non-owning views, in shard order.
+/// Shard i of an RtPlant: a query network, the RtEngine that owns it, and
+/// the entry shedder gating its ingress (null only in open runs).
+struct RtShard {
+  std::unique_ptr<QueryNetwork> net;
+  std::unique_ptr<RtEngine> engine;
+  std::unique_ptr<Shedder> shedder;
 };
 
-/// Builds `workers` shards on `clock`. `engine` carries the run-wide
-/// options (ring, cost mode, pacing, batch, telemetry); the builder sets
-/// headroom H_true and the Fig. 14 cost multiplier, and per shard i the
-/// index, the per-shard pump metric (when sharded), the CPU `pin_cpus`
-/// assigns, and the victim seed seed + 6 + 7919 i (a stream distinct from
-/// the entry shedders', so no RNG is shared across threads).
-RtPlant BuildRtPlant(const ExperimentConfig& base, int workers,
-                     const std::string& pin_cpus, RtEngineOptions engine,
+/// The sharded plant `ctrlshed rt`, `ctrlshed node` and the cluster sim
+/// run, and the one code that walks its shards. Start, Stop and Pump run
+/// on the owning thread, PostPlan on one controlling thread at a time;
+/// Snapshot, Shard and Totals read only the RtSharedStats atomics.
+class RtPlant {
+ public:
+  /// Shards must be homogeneous (same nominal entry cost) and not started.
+  explicit RtPlant(std::vector<RtShard> shards);
+  RtPlant(const RtPlant&) = delete;  // RtLoop and budget posters keep &plant
+  RtPlant& operator=(const RtPlant&) = delete;
+
+  size_t size() const { return shards_.size(); }
+  RtEngine* engine(size_t i) const { return shards_[i].engine.get(); }
+  Shedder* shedder(size_t i) const { return shards_[i].shedder.get(); }
+  std::vector<Shedder*> shedders() const;  ///< In shard order.
+  /// Installs `cb` on every engine (see RtEngine::SetDepartureCallback).
+  void SetDepartureCallback(const DepartureCallback& cb);
+
+  void Start();  ///< Launches every worker.
+  void Stop();   ///< Stops and joins every worker. Idempotent.
+  /// Pumps every shard to `now` on the caller's thread (virtual time).
+  void Pump(SimTime now);
+  /// Reads every shard's counters at the one trace instant `now`.
+  void Snapshot(SimTime now, std::vector<RtSample>* samples) const;
+  /// Posts shard `i`'s in-network budget under the one plan sequence.
+  void PostPlan(size_t i, const ActuationPlan& plan);
+
+  /// Shard `i`'s counters (h_hat and pump_intervals at their defaults),
+  /// and their sum over every shard.
+  RtShardSummary Shard(size_t i) const { return Sum(i, i + 1); }
+  RtShardSummary Totals() const { return Sum(0, shards_.size()); }
+  /// Every worker's pump intervals, merged. Only valid after Stop().
+  LatencyHistogram PumpIntervals() const;
+
+ private:
+  RtShardSummary Sum(size_t first, size_t last) const;
+
+  std::vector<RtShard> shards_;
+  uint64_t plan_seq_ = 0;
+};
+
+/// Builds `config.workers` shards on `clock`: shard i gets an
+/// identification network, an RtEngine with one local source and the
+/// entry shedder MakeEntryShedder(base, i). Every engine gets headroom
+/// H_true, the config's ring, pacing and batch, `telemetry` (may be null),
+/// a per-shard pump metric when sharded, the Fig. 14 cost multiplier, its
+/// shard index, the CPU `pin_cpus` assigns, and the victim seed
+/// seed + 6 + 7919 i (distinct from the entry shedders' streams).
+RtPlant BuildRtPlant(const ExperimentConfig& base,
+                     const RtPlantConfig& config, Telemetry* telemetry,
                      const RtClock* clock);
 
 /// Builds the standard plant (identification network + RtEngine + replay

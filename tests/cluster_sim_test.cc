@@ -43,13 +43,15 @@ ExperimentConfig BaseConfig() {
 // The production RtLoop over the same plant the socket runtime builds
 // (BuildRtPlant, MakeController), driven on virtual time: sources admit
 // through OnArrival and pump their shard at each arrival, and each period
-// boundary pumps every shard and runs RtLoop::Tick. No cluster machinery
-// anywhere.
+// boundary pumps the plant (RtPlant::Pump) and runs RtLoop::Tick. No
+// cluster machinery anywhere.
 
 Recorder RunSingleProcessReference(const ExperimentConfig& base, int workers) {
   RtClock clock;  // never started: the simulation drives every pump
-  const RtPlant plant =
-      BuildRtPlant(base, workers, /*pin_cpus=*/"", RtEngineOptions{}, &clock);
+  RtPlantConfig plant_config;
+  plant_config.workers = workers;
+  RtPlant plant = BuildRtPlant(base, plant_config, /*telemetry=*/nullptr,
+                               &clock);
   std::unique_ptr<LoadController> controller =
       MakeController(base, static_cast<double>(workers) * base.headroom_est);
   RtLoopOptions lopts;
@@ -58,19 +60,21 @@ Recorder RunSingleProcessReference(const ExperimentConfig& base, int workers) {
   lopts.headroom = base.headroom_est;
   lopts.cost_ewma = base.cost_ewma;
   lopts.adapt_headroom = base.adapt_headroom;
-  RtLoop loop(plant.shards, &clock, controller.get(), lopts);
+  lopts.queue_shed = base.use_queue_shedder;
+  lopts.cost_aware_shed = base.cost_aware_shedding;
+  RtLoop loop(&plant, &clock, controller.get(), lopts);
 
   Simulation sim;
   std::vector<ArrivalSource> sources = ArrivalSourcesFor(base, workers);
   for (size_t w = 0; w < sources.size(); ++w) {
-    RtEngine* engine = plant.engines[w].get();
+    RtEngine* engine = plant.engine(w);
     sources[w].Start(&sim, [&loop, engine](const Tuple& t) {
       loop.OnArrival(t);
       engine->Pump(t.arrival_time);
     });
   }
   sim.ScheduleEvery(base.period, base.period, [&](SimTime t) {
-    for (const auto& engine : plant.engines) engine->Pump(t);
+    plant.Pump(t);
     loop.Tick(t);
     return true;
   });
@@ -141,6 +145,39 @@ TEST(ClusterSimIdentityTest, OneNodeTwoWorkersEqualsShardedLoop) {
 
   ExpectRowsIdentical(cluster.recorder, ref);
   EXPECT_GT(MaxAlpha(cluster.recorder), 0.0);
+}
+
+TEST(ClusterSimIdentityTest, OneNodeInNetworkEqualsShardedLoop) {
+  // The in-network budget path: under the Fig. 14 cost jump the loop
+  // drains queues, and the node agent and RtLoop both post the budgets
+  // through RtPlant::PostPlan.
+  for (int workers : {1, 2}) {
+    for (bool cost_aware : {false, true}) {
+      SCOPED_TRACE("workers " + std::to_string(workers) + ", cost_aware " +
+                   std::to_string(cost_aware));
+      ClusterSimConfig config;
+      config.base = BaseConfig();
+      config.base.duration = 30.0;
+      config.base.web.mean_rate = 390.0 * workers;
+      config.base.vary_cost = true;
+      config.base.cost_params.jump_at = 12.0;
+      config.base.use_queue_shedder = true;
+      config.base.cost_aware_shedding = cost_aware;
+      config.nodes = 1;
+      config.workers_per_node = workers;
+
+      const ClusterSimResult cluster = RunClusterSim(config);
+      const Recorder ref = RunSingleProcessReference(config.base, workers);
+
+      ExpectRowsIdentical(cluster.recorder, ref);
+      EXPECT_GT(cluster.nodes[0].queue_shed, 0u);
+      bool in_network = false;
+      for (const PeriodRecord& row : cluster.recorder.rows()) {
+        if (row.site != ActuationSite::kEntry) in_network = true;
+      }
+      EXPECT_TRUE(in_network);
+    }
+  }
 }
 
 TEST(ClusterSimTest, MultiNodeRunsAreBitReproducible) {

@@ -10,6 +10,7 @@
 #include "runner/networks.h"
 #include "shedding/entry_shedder.h"
 #include "sim/simulation.h"
+#include "telemetry/flight_recorder.h"
 #include "workload/arrival_source.h"
 #include "workload/traces.h"
 
@@ -201,7 +202,16 @@ TEST(FeedbackLoopTest, SummaryIsConsistent) {
   EXPECT_EQ(s.departures, rig.loop->qos().departures());
 }
 
-TEST(FeedbackLoopDeathTest, StartTwiceAborts) {
+// A death test's CS_CHECK writes a flight dump; keep it out of the
+// working directory.
+class FeedbackLoopDeathTest : public ::testing::Test {
+ protected:
+  FeedbackLoopDeathTest() {
+    SetFlightDumpPath(::testing::TempDir() + "ctrlshed.flightdump.json");
+  }
+};
+
+TEST_F(FeedbackLoopDeathTest, StartTwiceAborts) {
   Simulation sim;
   QueryNetwork net;
   BuildIdentificationNetwork(&net, 0.005);
@@ -211,7 +221,7 @@ TEST(FeedbackLoopDeathTest, StartTwiceAborts) {
   EXPECT_DEATH(loop.Start(), "twice");
 }
 
-TEST(FeedbackLoopDeathTest, ControllerWithoutShedderAborts) {
+TEST_F(FeedbackLoopDeathTest, ControllerWithoutShedderAborts) {
   Simulation sim;
   QueryNetwork net;
   BuildIdentificationNetwork(&net, 0.005);

@@ -203,7 +203,6 @@ void ExpectSame(const RtRunConfig& got, const RtRunConfig& want) {
   EXPECT_SAME(batch);
   EXPECT_SAME(batch_adaptive);
   EXPECT_SAME(pin_cpus);
-  EXPECT_SAME(cost_mode);
   EXPECT_SAME(workers);
 }
 
@@ -218,7 +217,6 @@ void ExpectSame(const ClusterNodeConfig& got, const ClusterNodeConfig& want) {
   EXPECT_SAME(ring_capacity);
   EXPECT_SAME(batch);
   EXPECT_SAME(pin_cpus);
-  EXPECT_SAME(cost_mode);
 }
 
 void ExpectSame(const ClusterArgs& got, const ClusterArgs& want) {
@@ -276,7 +274,6 @@ RtRunConfig FormerRt() {
   c.batch = 1;
   c.batch_adaptive = false;
   c.pin_cpus = "";
-  c.cost_mode = RtCostMode::kSleep;
   c.workers = 1;
   return c;
 }
@@ -311,7 +308,6 @@ TEST(CommandTableTest, NoKnobsGiveTheFormerDefaults) {
   node.ring_capacity = 4096;
   node.batch = 1;
   node.pin_cpus = "";
-  node.cost_mode = RtCostMode::kSleep;
   ExpectSame(Parsed<NodeArgs>("").cfg, node);
 
   ClusterArgs cluster;
@@ -650,6 +646,10 @@ TEST(CommandTableTest, BadTokensNameTheirKnob) {
       {"run", "beta=-1", "beta"},
       {"trace", "kind=pareto beta=0", "beta"},
       {"trace", "kind=web beta=2", "beta"},
+      {"trace", "duration=0", "duration"},
+      {"trace", "duration=-5", "duration"},
+      {"trace", "kind=pareto duration=0", "duration"},
+      {"trace", "kind=cost duration=0", "duration"},
       {"run", "workload=constant rate=nan", "rate"},
       {"run", "workload=constant rate=inf", "rate"},
       {"run", "workload=constant rate=-3", "rate"},
@@ -667,6 +667,8 @@ TEST(CommandTableTest, BadTokensNameTheirKnob) {
       {"rt", "workers=+2", "workers"},
       {"rt", "telemetry_port=+2", "telemetry_port"},
       {"node", "workers=+2", "workers"},
+      {"rt", "busy_spin=1", "busy_spin"},
+      {"node", "busy_spin=1", "busy_spin"},
       {"feed", "", "port"},
       {"run", "dration=9", "dration"},
       {"soak", "seed=abc", "seed"},
@@ -742,11 +744,11 @@ TEST(CommandTableTest, EachCommandKeepsItsFormerKeys) {
   EXPECT_EQ(KeysOf<RunArgs>(), Sorted(run));
   EXPECT_EQ(KeysOf<RtArgs>(),
             Sorted(run + " compress ring batch batch_adaptive pin_cpus "
-                         "busy_spin workers"));
+                         "workers"));
   EXPECT_EQ(KeysOf<NodeArgs>(),
             Sorted("id workers port controller_host controller_port duration "
                    "T yd H_true H capacity vary_cost adapt_H seed compress "
-                   "ring batch pin_cpus busy_spin" + telemetry));
+                   "ring batch pin_cpus" + telemetry));
   EXPECT_EQ(KeysOf<ClusterArgs>(),
             Sorted("port duration T yd H_true H capacity queue_shed "
                    "cost_aware adapt_H poles stale_periods min_nodes "

@@ -457,8 +457,13 @@ TEST(RtConfigErrorTest, TableOfBadNumericKnobs) {
         << c.knob << ": '" << error << "'";
   }
   // The node runs the same plant check on its own knobs.
-  EXPECT_EQ(RtPlantError(2, 20.0, 4096, 64, "auto"), "");
-  EXPECT_EQ(RtPlantError(2, 20.0, 4096, 64, "0,x").rfind("pin_cpus ", 0), 0u);
+  RtPlantConfig plant;
+  plant.workers = 2;
+  plant.batch = 64;
+  plant.pin_cpus = "auto";
+  EXPECT_EQ(RtPlantError(plant), "");
+  plant.pin_cpus = "0,x";
+  EXPECT_EQ(RtPlantError(plant).rfind("pin_cpus ", 0), 0u);
 }
 
 }  // namespace

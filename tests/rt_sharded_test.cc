@@ -122,24 +122,24 @@ TEST(RtShardedTest, EightProducersRouteAcrossFourShards) {
   constexpr int kTuplesPerSource = 2000;
   RtClock clock(/*compression=*/2000.0);
 
-  std::vector<std::unique_ptr<QueryNetwork>> nets;
-  std::vector<std::unique_ptr<RtEngine>> engines;
   std::vector<RtShard> shards;
   for (int i = 0; i < kShards; ++i) {
-    nets.push_back(std::make_unique<QueryNetwork>());
-    BuildTwoSourceNetwork(nets.back().get(), /*entry_cost=*/20e-6);
+    RtShard shard;
+    shard.net = std::make_unique<QueryNetwork>();
+    BuildTwoSourceNetwork(shard.net.get(), /*entry_cost=*/20e-6);
     RtEngineOptions eopts;
     eopts.ring_capacity = 1 << 14;
     eopts.shard_index = i;
-    engines.push_back(std::make_unique<RtEngine>(
-        nets.back().get(), &clock, kSourcesPerShard, eopts));
-    shards.push_back(RtShard{engines.back().get(), nullptr});
+    shard.engine = std::make_unique<RtEngine>(shard.net.get(), &clock,
+                                              kSourcesPerShard, eopts);
+    shards.push_back(std::move(shard));
   }
+  RtPlant plant(std::move(shards));
 
   RtLoopOptions lopts;
   lopts.period = 0.5;
-  RtLoop loop(std::move(shards), &clock, /*controller=*/nullptr, lopts);
-  ASSERT_EQ(loop.num_shards(), kShards);
+  RtLoop loop(&plant, &clock, /*controller=*/nullptr, lopts);
+  ASSERT_EQ(plant.size(), static_cast<size_t>(kShards));
 
   std::atomic<uint64_t> departed_observed{0};
   loop.SetDepartureObserver(
@@ -171,11 +171,10 @@ TEST(RtShardedTest, EightProducersRouteAcrossFourShards) {
   // Conservation: every offer landed on exactly one shard.
   const uint64_t total =
       static_cast<uint64_t>(kGlobalSources) * kTuplesPerSource;
-  EXPECT_EQ(loop.offered(), total);
+  EXPECT_EQ(plant.Totals().offered, total);
   uint64_t per_shard_sum = 0;
-  for (const auto& engine : engines) {
-    const uint64_t offered =
-        engine->stats()->offered.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < plant.size(); ++i) {
+    const uint64_t offered = plant.Shard(i).offered;
     // Each shard owns exactly 2 of the 8 global sources.
     EXPECT_EQ(offered,
               static_cast<uint64_t>(kSourcesPerShard) * kTuplesPerSource);
@@ -186,12 +185,9 @@ TEST(RtShardedTest, EightProducersRouteAcrossFourShards) {
   // No controller and huge rings: nothing may be shed; everything that
   // departed was observed exactly once (the departure fan-in is
   // serialized, no lost updates).
-  EXPECT_EQ(loop.entry_shed(), 0u);
-  EXPECT_EQ(loop.ring_dropped(), 0u);
-  uint64_t departed = 0;
-  for (const auto& engine : engines) {
-    departed += engine->stats()->departed.load(std::memory_order_relaxed);
-  }
+  EXPECT_EQ(plant.Totals().entry_shed, 0u);
+  EXPECT_EQ(plant.Totals().ring_dropped, 0u);
+  const uint64_t departed = plant.Totals().departed;
   EXPECT_EQ(departed_observed.load(), departed);
   EXPECT_EQ(loop.qos().departures(), departed);
   EXPECT_LE(departed, total);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/stream_system.h"
+#include "telemetry/flight_recorder.h"
 #include "workload/traces.h"
 
 namespace ctrlshed {
@@ -147,25 +148,34 @@ TEST(StreamSystemTest, AuroraPolicyRuns) {
   EXPECT_GT(sys.LossRatio(), 0.1);
 }
 
-TEST(StreamSystemDeathTest, EmptyPipelineAborts) {
+// A death test's CS_CHECK writes a flight dump; keep it out of the
+// working directory.
+class StreamSystemDeathTest : public ::testing::Test {
+ protected:
+  StreamSystemDeathTest() {
+    SetFlightDumpPath(::testing::TempDir() + "ctrlshed.flightdump.json");
+  }
+};
+
+TEST_F(StreamSystemDeathTest, EmptyPipelineAborts) {
   StreamSystem sys;
   sys.AddStream("empty");
   EXPECT_DEATH(sys.Run(1.0), "empty pipeline");
 }
 
-TEST(StreamSystemDeathTest, NoStreamsAborts) {
+TEST_F(StreamSystemDeathTest, NoStreamsAborts) {
   StreamSystem sys;
   EXPECT_DEATH(sys.Run(1.0), "no streams");
 }
 
-TEST(StreamSystemDeathTest, WorkloadForUnknownStreamAborts) {
+TEST_F(StreamSystemDeathTest, WorkloadForUnknownStreamAborts) {
   StreamSystem sys;
   sys.AddStream("s").Map(1.0);
   EXPECT_DEATH(sys.SetWorkload(3, MakeConstantTrace(1.0, 1.0)),
                "unknown stream");
 }
 
-TEST(StreamSystemDeathTest, TopologyFrozenAfterRun) {
+TEST_F(StreamSystemDeathTest, TopologyFrozenAfterRun) {
   StreamSystem sys;
   sys.AddStream("s").Map(1.0);
   sys.SetWorkload(0, MakeConstantTrace(5.0, 10.0));
@@ -173,7 +183,7 @@ TEST(StreamSystemDeathTest, TopologyFrozenAfterRun) {
   EXPECT_DEATH(sys.AddStream("late"), "frozen");
 }
 
-TEST(StreamSystemDeathTest, SummaryBeforeRunAborts) {
+TEST_F(StreamSystemDeathTest, SummaryBeforeRunAborts) {
   StreamSystem sys;
   sys.AddStream("s").Map(1.0);
   EXPECT_DEATH(sys.Summary(), "Run first");
@@ -206,7 +216,7 @@ TEST(StreamSystemTest, PerStreamTrackingOffByDefault) {
   EXPECT_EQ(sys.per_stream(), nullptr);
 }
 
-TEST(StreamSystemDeathTest, WeightedActuatorNeedsMatchingPriorities) {
+TEST_F(StreamSystemDeathTest, WeightedActuatorNeedsMatchingPriorities) {
   StreamSystem::Options opts;
   opts.actuator = StreamSystem::Actuator::kWeighted;
   opts.stream_priorities = {1.0};  // but two streams

@@ -79,9 +79,8 @@ Knob Compress(double* compression) {
                 0.0);
 }
 
-/// The rt plant's knobs, over an RtRunConfig or a ClusterNodeConfig.
-template <class Plant>
-Knobs PlantKnobs(Plant& p) {
+/// The rt plant's knobs, which `rt` and `node` share.
+Knobs PlantKnobs(RtPlantConfig& p) {
   return {
       Compress(&p.time_compression),
       Integer("workers", &p.workers, 1, 64, "engine shards under one loop"),
@@ -89,10 +88,6 @@ Knobs PlantKnobs(Plant& p) {
               "ingress ring per shard, tuples"),
       Integer("batch", &p.batch, 1, 4096, "SPSC pop run and quantum"),
       Text("pin_cpus", &p.pin_cpus, "pin shards: auto, or a CPU list 0,2,..."),
-      Choice<RtCostMode>("busy_spin", &p.cost_mode,
-                         {{"0", RtCostMode::kSleep},
-                          {"1", RtCostMode::kBusySpin}},
-                         "spin out operator cost instead of sleeping"),
   };
 }
 
@@ -116,8 +111,8 @@ Knobs KnobsOf(RtArgs& a) {
                      TraceOut(&a.trace_out)}}),
               "method workload duration T yd H H_true capacity rate beta "
               "poles vary_cost queue_shed cost_aware noise adapt_H seed "
-              "compress workers ring batch batch_adaptive pin_cpus busy_spin "
-              "trace_out" + kTelemetry);
+              "compress workers ring batch batch_adaptive pin_cpus trace_out" +
+                  kTelemetry);
 }
 
 Knobs KnobsOf(NodeArgs& a) {
@@ -132,7 +127,7 @@ Knobs KnobsOf(NodeArgs& a) {
                              "cluster controller port")}}),
               "id port controller_host controller_port duration T yd H "
               "H_true capacity vary_cost adapt_H seed compress workers ring "
-              "batch pin_cpus busy_spin" + kTelemetry);
+              "batch pin_cpus" + kTelemetry);
 }
 
 Knobs KnobsOf(ClusterArgs& a) {
@@ -240,9 +235,7 @@ std::string Parse(int argc, char* const* argv, NodeArgs* args) {
   const ClusterNodeConfig& c = args->cfg;
   return Walk("node", argc, argv, args, [&](Knobs&) {
     const std::string error = ExperimentConfigError(c.base);
-    return !error.empty() ? error
-                          : RtPlantError(c.workers, c.time_compression,
-                                         c.ring_capacity, c.batch, c.pin_cpus);
+    return !error.empty() ? error : RtPlantError(c);
   });
 }
 
@@ -261,10 +254,10 @@ std::string Parse(int argc, char* const* argv, FeedArgs* args) {
 
 std::string Parse(int argc, char* const* argv, TraceArgs* args) {
   return Walk("trace", argc, argv, args, [&](Knobs& knobs) {
-    const bool pareto = args->kind == TraceKind::kPareto;
-    return pareto || !FindKnob(knobs, "beta")->given
-               ? ""
-               : "beta applies to kind=pareto only";
+    if (args->kind != TraceKind::kPareto && FindKnob(knobs, "beta")->given) {
+      return std::string("beta applies to kind=pareto only");
+    }
+    return ExperimentConfigError(args->cfg);
   });
 }
 
