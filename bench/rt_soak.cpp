@@ -9,9 +9,9 @@
 // Time compression (trace seconds per wall second) keeps the soak CI-sized;
 // pass compress=1 for a true real-time hour-of-the-day soak.
 //
-// Its knobs (duration, compress, yd, overload, seed, workers, batch,
-// batch_adaptive, pin, telemetry_dir, telemetry_port) are SoakArgs' rows in
-// tools/cli/commands.h; an unknown key lists them.
+// Its knobs (duration, compress, yd, overload, seed, workers, batch, pin,
+// telemetry_dir, telemetry_port) are SoakArgs' rows in tools/cli/commands.h;
+// an unknown key lists them.
 //
 // workers=N shards the plant across N engine workers under one aggregate
 // feedback loop. `overload` stays defined against ONE worker's capacity,
@@ -104,10 +104,9 @@ int main(int argc, char** argv) {
               cfg.base.web.mean_rate, workers, cfg.base.capacity_rate,
               cfg.base.web.mean_rate / agg_capacity);
   std::printf("replaying %.0f trace seconds at %gx compression "
-              "(~%.1f wall s), T = %.1f s, yd = %.1f s, batch = %zu%s%s\n\n",
+              "(~%.1f wall s), T = %.1f s, yd = %.1f s, batch = %zu%s\n\n",
               duration, compress, duration / compress, cfg.base.period, yd,
-              cfg.batch, cfg.batch_adaptive ? " (adaptive)" : "",
-              cfg.pin_cpus.empty() ? "" : ", workers pinned");
+              cfg.batch, cfg.pin_cpus.empty() ? "" : ", workers pinned");
 
   // The single-worker yardstick: with workers > 1, first replay the same
   // trace against one worker so the sharded run has something to beat.

@@ -52,6 +52,7 @@ int main() {
   loop_opts.period = 1.0;
   loop_opts.target_delay = 2.0;
   loop_opts.headroom = kHeadroom;
+  loop_opts.allow_in_network_shed = true;  // plans the shedder's queue cuts
   FeedbackLoop loop(&sim, &engine, &controller, &shedder, loop_opts);
   loop.Start();
 

@@ -67,6 +67,7 @@ int main() {
   loop_opts.period = 0.25;        // T = 250 ms for a 500 ms deadline
   loop_opts.target_delay = 0.5;   // the desk's firm deadline
   loop_opts.headroom = kHeadroom;
+  loop_opts.allow_in_network_shed = true;  // plans the shedder's queue cuts
   FeedbackLoop loop(&sim, &engine, &controller, &shedder, loop_opts);
   loop.Start();
 

@@ -20,6 +20,9 @@ namespace ctrlshed {
 
 namespace {
 
+/// The loss stream's seed is the run's seed plus this.
+constexpr uint64_t kNetSeedOffset = 17;
+
 /// One simulated node: the socket node's plant, fed by its slices of the
 /// arrival trace and pumped by simulation events, not worker threads.
 struct SimNode {
@@ -79,8 +82,8 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
     node->agent = std::make_unique<NodeAgent>(
         nominal_cost, node->plant.shedders(),
         NodeAgentOptionsFor(base, node->id));
-    // In-network budgets go out through the plan handshake, as in the
-    // socket node; the shard's following pumps drain them.
+    // Each in-network budget goes out through the plan handshake, as in
+    // the socket node; the shard's following pumps drain it.
     RtPlant* plant = &node->plant;
     node->agent->SetBudgetPoster(
         [plant](size_t i, const ActuationPlan& plan) {
@@ -102,7 +105,7 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
   // one seeded Bernoulli draw per message in deterministic event order.
   uint64_t messages_sent = 0;
   uint64_t messages_lost = 0;
-  Rng net_rng(base.seed + config.net_seed_offset);
+  Rng net_rng(base.seed + kNetSeedOffset);
   auto deliver = [&](double delay, std::function<void()> fn) {
     ++messages_sent;
     if (config.loss > 0.0 && net_rng.Bernoulli(config.loss)) {

@@ -31,7 +31,7 @@ struct ClusterSimConfig {
   /// cluster path supports method=kCtrl with last-value prediction and no
   /// setpoint schedule; the Fig. 14 cost trace (`vary_cost`) and the
   /// in-network queue shedder (`use_queue_shedder` /
-  /// `cost_aware_shedding`, budgets planned per-node by the NodeAgent)
+  /// `cost_aware_shedding`, each budget planned per-node by the NodeAgent)
   /// ride along. Injected estimation noise stays sim-loop-only.
   ExperimentConfig base;
 
@@ -42,7 +42,6 @@ struct ClusterSimConfig {
   double report_delay = 0.0;    ///< node -> controller (reports and acks).
   double command_delay = 0.0;   ///< controller -> node.
   double loss = 0.0;            ///< Per-message loss probability.
-  uint64_t net_seed_offset = 17;  ///< Loss RNG seed = base.seed + this.
 
   /// Stale-node policy M: excluded after missing this many periods.
   int stale_periods = 3;

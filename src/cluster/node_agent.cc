@@ -85,7 +85,6 @@ ActuationAck NodeAgent::Apply(const ClusterActuation& a) {
   ack.applied = fold.applied;
   ack.alpha = fold.alpha;
   ack.queue_shed = fold.queue_target;
-  ack.site = static_cast<uint32_t>(period_.site);
   return ack;
 }
 

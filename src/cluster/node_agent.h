@@ -47,7 +47,7 @@ class NodeAgent {
   /// before the first Tick (nothing to fan out yet: acks applied = 0).
   /// When the command carries queue_shed, each shard's in-network budget
   /// is handed to the budget poster (below) before the entry shedder sees
-  /// the plan, and the ack reports the chosen site + planned victims.
+  /// the plan, and the ack reports the planned victims.
   ActuationAck Apply(const ClusterActuation& a);
 
   /// Shard-budget delivery seam for in-network shedding. The runner owns

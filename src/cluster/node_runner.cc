@@ -80,7 +80,7 @@ ClusterNodeResult RunClusterNode(const ClusterNodeConfig& config) {
   // remote actuation (control reader thread).
   std::mutex plant_mu;
 
-  // In-network budgets cross into the workers through the plant's plan
+  // Each in-network budget crosses into the workers through the plant's plan
   // handshake. The poster only runs inside agent.Apply, under plant_mu.
   agent.SetBudgetPoster([&plant](size_t i, const ActuationPlan& plan) {
     plant.PostPlan(i, plan);

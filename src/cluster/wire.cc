@@ -221,7 +221,6 @@ std::string EncodeAckFrame(const ActuationAck& a) {
   PutU32(a.seq, &p);
   PutF64(a.applied, &p);
   PutF64(a.alpha, &p);
-  PutU32(a.site, &p);
   PutF64(a.queue_shed, &p);
   return Framed(FrameType::kAck, p);
 }
@@ -230,11 +229,10 @@ bool DecodeAck(const std::string& payload, ActuationAck* out) {
   WireReader r(payload);
   if (!r.ReadU32(&out->node_id) || !r.ReadU32(&out->seq) ||
       !r.ReadF64(&out->applied) || !r.ReadF64(&out->alpha) ||
-      !r.ReadU32(&out->site) || !r.ReadF64(&out->queue_shed) || !r.AtEnd()) {
+      !r.ReadF64(&out->queue_shed) || !r.AtEnd()) {
     return false;
   }
-  return out->site <= 2 && AllFinite({out->applied, out->alpha,
-                                      out->queue_shed}) &&
+  return AllFinite({out->applied, out->alpha, out->queue_shed}) &&
          out->queue_shed >= 0.0;
 }
 

@@ -88,10 +88,6 @@ struct ActuationAck {
   uint32_t seq = 0;            ///< Echoes ClusterActuation::seq.
   double applied = 0.0;        ///< Rate the shedders could actually target.
   double alpha = 0.0;          ///< Share-blended drop probability after apply.
-  /// ActuationSite the node's plans chose this period (0 entry,
-  /// 1 in_network, 2 split — numeric to keep the wire layer free of
-  /// control-layer includes; decode rejects anything else).
-  uint32_t site = 0;
   /// Planned in-network victim tuples across the node's shards (the plans'
   /// summed queue_target). Planned, not realized: the workers drain the
   /// budget asynchronously; realized drops flow back cumulatively in

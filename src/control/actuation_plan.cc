@@ -1,11 +1,6 @@
 #include "control/actuation_plan.h"
 
 #include <algorithm>
-#include <numeric>
-
-#include "engine/engine.h"
-#include "engine/operator.h"
-#include "engine/query_network.h"
 
 namespace ctrlshed {
 
@@ -27,45 +22,9 @@ ActuationSite SiteFor(double queue_target, double alpha) {
                             : ActuationSite::kEntry;
 }
 
-namespace {
-
-// Decomposes the scalar budget over the reported queues: cost-aware planners
-// fill victims in descending drain-cost order (ties to the lowest operator
-// index, matching ShedFromQueues' first-max-wins scan); random planners
-// spread proportionally to each queue's share of the backlog load.
-void DecomposeBudget(const QueueFeedback& fb, double budget_load,
-                     bool cost_aware, std::vector<QueueBudget>* out) {
-  out->clear();
-  if (budget_load <= 0.0 || fb.queues.empty()) return;
-  if (cost_aware) {
-    std::vector<size_t> order(fb.queues.size());
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&fb](size_t a, size_t b) {
-      return fb.queues[a].drain_cost > fb.queues[b].drain_cost;
-    });
-    double remaining = budget_load;
-    for (size_t i : order) {
-      if (remaining <= 0.0) break;
-      const double take = std::min(remaining, fb.queues[i].queued_load);
-      if (take <= 0.0) continue;
-      out->push_back({fb.queues[i].op_index, take});
-      remaining -= take;
-    }
-    return;
-  }
-  if (fb.total_queued_load <= 0.0) return;
-  for (const QueueFeedbackEntry& q : fb.queues) {
-    const double take = budget_load * (q.queued_load / fb.total_queued_load);
-    if (take > 0.0) out->push_back({q.op_index, take});
-  }
-}
-
-}  // namespace
-
-ActuationPlan ActuationPlanner::BuildPlan(double v, const PeriodMeasurement& m,
-                                          const QueueFeedback& fb) const {
+ActuationPlan ActuationPlanner::BuildPlan(double v,
+                                          const PeriodMeasurement& m) const {
   ActuationPlan plan;
-  plan.k = m.k;
   plan.v = v;
   plan.cost_aware = options_.cost_aware;
   plan.in_network_enabled = options_.allow_in_network;
@@ -111,29 +70,7 @@ ActuationPlan ActuationPlanner::BuildPlan(double v, const PeriodMeasurement& m,
   plan.planned_applied = v + unachieved / T;
 
   plan.site = SiteFor(plan.queue_target, plan.entry_alpha);
-  DecomposeBudget(fb, plan.queue_budget_load, plan.cost_aware, &plan.budgets);
   return plan;
-}
-
-void CollectQueueFeedback(const Engine& engine, QueueFeedback* fb) {
-  fb->queues.clear();
-  fb->total_backlog_tuples = 0.0;
-  fb->total_queued_load = 0.0;
-  const QueryNetwork& net = engine.network();
-  for (size_t i = 0; i < net.NumOperators(); ++i) {
-    const OperatorBase* op = net.Operator(i);
-    const size_t backlog = op->queue().size();
-    if (backlog == 0) continue;
-    const double drain_cost = net.RemainingCost(op);
-    QueueFeedbackEntry entry;
-    entry.op_index = static_cast<int>(i);
-    entry.backlog_tuples = static_cast<double>(backlog);
-    entry.queued_load = static_cast<double>(backlog) * drain_cost;
-    entry.drain_cost = drain_cost;
-    fb->total_backlog_tuples += entry.backlog_tuples;
-    fb->total_queued_load += entry.queued_load;
-    fb->queues.push_back(entry);
-  }
 }
 
 }  // namespace ctrlshed

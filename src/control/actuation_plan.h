@@ -3,13 +3,10 @@
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "control/controller.h"
 
 namespace ctrlshed {
-
-class Engine;
 
 /// Where this period's shedding happens. The controller picks the site per
 /// period from the plan arithmetic: entry-only when the backlog cannot absorb
@@ -28,34 +25,6 @@ std::string_view ActuationSiteName(ActuationSite site);
 /// in-network otherwise.
 ActuationSite SiteFor(double queue_target, double alpha);
 
-/// One operator queue's backlog, as reported upstream into the plan builder
-/// (the punctuation-style inter-operator feedback signal). Engine-independent
-/// so the control layer never touches operator internals directly.
-struct QueueFeedbackEntry {
-  int op_index = 0;            ///< Operator index in the query network.
-  double backlog_tuples = 0;   ///< Tuples queued at this operator.
-  double queued_load = 0.0;    ///< Base-load seconds those tuples still cost.
-  double drain_cost = 0.0;     ///< Remaining per-tuple cost (seconds).
-};
-
-/// Per-period upstream feedback: each operator reports its backlog and drain
-/// cost so the planner can decompose the in-network budget over the cheapest
-/// victims. Empty feedback is always valid (the scalar budget still applies).
-struct QueueFeedback {
-  std::vector<QueueFeedbackEntry> queues;
-  double total_backlog_tuples = 0.0;
-  double total_queued_load = 0.0;
-};
-
-/// Advisory per-queue victim budget (base-load seconds) decomposed from the
-/// scalar in-network budget using the feedback report. Executors may consume
-/// the scalar budget instead; the decomposition records *where* the planner
-/// expects the load to come from.
-struct QueueBudget {
-  int op_index = 0;
-  double budget_load = 0.0;
-};
-
 /// One period's actuation decision, produced by the controller layer and
 /// consumed by every runtime's actuator (sim FeedbackLoop shedders, rt worker
 /// pumps via the RtSharedStats handshake, cluster NodeAgents via kActuation
@@ -68,7 +37,6 @@ struct QueueBudget {
 /// entry remainder from the *actual* queue removal reproduces the pre-plan
 /// arithmetic bit for bit.
 struct ActuationPlan {
-  int k = 0;              ///< Period index the plan applies to.
   double v = 0.0;         ///< Controller's desired admitted rate v(k).
   ActuationSite site = ActuationSite::kEntry;
 
@@ -88,12 +56,11 @@ struct ActuationPlan {
   double queue_target = 0.0;  ///< Tuples to remove from operator queues.
   double queue_budget_load = 0.0;  ///< queue_target in base-load seconds.
   bool cost_aware = false;    ///< Victim policy: kMostCostly vs kRandom.
-  std::vector<QueueBudget> budgets;  ///< Advisory per-queue decomposition.
 };
 
 struct ActuationPlannerOptions {
   /// Mean per-tuple base load at entry (seconds); converts tuple counts to
-  /// base-load budgets. Must match the executing engine's NominalEntryCost().
+  /// a base-load budget. Must match the executing engine's NominalEntryCost().
   double nominal_entry_cost = 1.0;
   /// When false the planner never emits an in-network budget and every plan
   /// is site=kEntry with the classic Eq. 13 entry alpha.
@@ -113,20 +80,12 @@ class ActuationPlanner {
 
   const ActuationPlannerOptions& options() const { return options_; }
 
-  /// Computes the coming period's plan. `fb` decomposes the in-network
-  /// budget over reported queues; pass an empty feedback when per-queue
-  /// backlogs are not visible (rt controller thread, cluster controller).
-  ActuationPlan BuildPlan(double v, const PeriodMeasurement& m,
-                          const QueueFeedback& fb = QueueFeedback{}) const;
+  /// Computes the coming period's plan.
+  ActuationPlan BuildPlan(double v, const PeriodMeasurement& m) const;
 
  private:
   ActuationPlannerOptions options_;
 };
-
-/// Fills `fb` from the engine's operator queues (backlog and remaining
-/// drain cost per operator). Read-only; call only from the thread that owns
-/// the engine.
-void CollectQueueFeedback(const Engine& engine, QueueFeedback* fb);
 
 }  // namespace ctrlshed
 

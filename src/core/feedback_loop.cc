@@ -107,16 +107,12 @@ void FeedbackLoop::ControlTick(SimTime now) {
   m.fin_forecast = predictor_->Observe(m.fin);
   PeriodRecord rec{.m = m};
   if (controller_ != nullptr) {
-    if (options_.allow_in_network_shed) {
-      CollectQueueFeedback(*engine_, &feedback_);
-    }
     rec.v = controller_->DesiredRate(m);
     const ActuationFold fold = pipeline_.Actuate(
         &rec, {&m.fin, 1}, {&m.queue, 1},
         [this](size_t, const ActuationPlan& plan, const PeriodMeasurement& mi) {
           return ApplySlice(*shedder_, plan, mi);
-        },
-        feedback_);
+        });
     controller_->NotifyActuation(fold.applied);
   }
   const uint64_t shed_lineages = engine_->counters().shed_lineages;

@@ -31,10 +31,9 @@ struct FeedbackLoopOptions {
   /// When > 0, keep per-stream offered/admitted/delay statistics for this
   /// many sources (see PerSourceStats). 0 disables the accounting.
   int track_sources = 0;
-  /// Build in-network-enabled ActuationPlans: each period the loop collects
-  /// per-queue backlog feedback from the engine and lets the planner split
-  /// the shed between operator queues and the entry gate. Off = classic
-  /// entry-only plans (bit-identical to the pre-plan loop).
+  /// Build in-network-enabled ActuationPlans: each period the planner
+  /// splits the shed between operator queues and the entry gate. Off =
+  /// classic entry-only plans (bit-identical to the pre-plan loop).
   bool allow_in_network_shed = false;
   /// Victim policy for the in-network half (see QueueShedder).
   bool cost_aware_shed = false;
@@ -128,7 +127,6 @@ class FeedbackLoop {
 
   DepartureCallback observer_;
   std::unique_ptr<RatePredictor> predictor_;
-  QueueFeedback feedback_;  ///< Scratch, refilled each period.
   /// The monitor's one-shard snapshot, kept so a tick allocates nothing.
   std::vector<RtSample> sample_;
   uint64_t prev_queue_shed_ = 0;  ///< Engine shed_lineages at last tick.

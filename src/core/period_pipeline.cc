@@ -37,8 +37,7 @@ void PeriodPipeline::SetMetricsSink(MetricsRegistry* registry) {
 ActuationFold PeriodPipeline::Actuate(PeriodRecord* rec,
                                       std::span<const double> fin,
                                       std::span<const double> queue,
-                                      const SliceDelivery& deliver,
-                                      const QueueFeedback& fb) {
+                                      const SliceDelivery& deliver) {
   CS_CHECK_MSG(fin.size() == queue.size(), "one queue per slice required");
   ProportionalShares(fin, &shares_);
   ActuationFold fold;
@@ -51,7 +50,7 @@ ActuationFold PeriodPipeline::Actuate(PeriodRecord* rec,
     mi.admitted = rec->m.admitted * shares_[i];
     mi.queue = queue[i];
     fold.Add(shares_[i],
-             deliver(i, planner_.BuildPlan(rec->v * shares_[i], mi, fb), mi));
+             deliver(i, planner_.BuildPlan(rec->v * shares_[i], mi), mi));
   }
   rec->alpha = fold.alpha;
   rec->site = fold.site();

@@ -71,11 +71,10 @@ class PeriodPipeline {
   /// Fans rec->v out over the slices' offered rates `fin` and queues
   /// `queue` (an even split when nothing arrived), delivers each slice's
   /// plan over its share of rec->m, and folds the results into rec's α and
-  /// site. `fb` is the queue feedback of a one-slice plant.
+  /// site.
   ActuationFold Actuate(PeriodRecord* rec, std::span<const double> fin,
                         std::span<const double> queue,
-                        const SliceDelivery& deliver,
-                        const QueueFeedback& fb = QueueFeedback{});
+                        const SliceDelivery& deliver);
 
   /// Site-switch event, flight ring, health (h_hat against
   /// `configured_headroom`), site counter, gauges, timeline, recorder.

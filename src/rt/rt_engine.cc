@@ -25,7 +25,6 @@ RtEngine::RtEngine(QueryNetwork* network, const RtClock* clock,
   CS_CHECK_MSG(options_.batch >= 1 && options_.batch <= 4096,
                "batch must be in [1, 4096]");
   engine_.scheduler().set_quantum(options_.batch);
-  applied_quantum_ = options_.batch;
   if (options_.cost_multiplier) {
     engine_.SetCostMultiplier(options_.cost_multiplier);
   }
@@ -77,16 +76,6 @@ size_t RtEngine::OfferBatch(const Tuple* tuples, size_t n) {
 }
 
 void RtEngine::Pump(SimTime now) {
-  // Adaptive scheduler quantum: pick up the controller's latest override
-  // (0 = none posted yet; keep the configured batch). The value is
-  // self-contained, so a relaxed load suffices — worst case we apply a
-  // period-old quantum for one pump.
-  const uint64_t q = stats_.plan_quantum.load(std::memory_order_relaxed);
-  if (q != 0 && static_cast<size_t>(q) != applied_quantum_) {
-    applied_quantum_ = static_cast<size_t>(q);
-    engine_.scheduler().set_quantum(applied_quantum_);
-  }
-
   // Collect the due tuples (arrival <= now). Each ring is FIFO with
   // non-decreasing arrival times, so a not-yet-due tuple ends that ring's
   // drain; popped-but-not-due tuples park in the ring's holdover FIFO

@@ -124,7 +124,6 @@ class RtEngine {
   RtSharedStats* stats() { return &stats_; }
 
   double NominalEntryCost() const { return nominal_entry_cost_; }
-  const RtEngineOptions& options() const { return options_; }
   int num_sources() const { return static_cast<int>(rings_.size()); }
 
   /// The inner engine's counters. Only valid after Stop().
@@ -185,11 +184,6 @@ class RtEngine {
   uint64_t plan_seq_seen_ = 0;
   double shed_budget_remaining_ = 0.0;
   bool shed_cost_aware_ = false;
-
-  /// Scheduler quantum currently applied to the inner engine (worker
-  /// thread only); starts at the configured batch and follows the
-  /// controller's plan_quantum overrides (see RtSharedStats).
-  size_t applied_quantum_ = 1;
 
   // Worker-local telemetry (trace buffer registered at thread start;
   // histogram read by other threads only after the join in Stop()).

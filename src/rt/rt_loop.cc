@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "rt/adaptive_quantum.h"
 #include "rt/rt_runtime.h"
 #include "rt/rt_source.h"
 
@@ -81,12 +80,6 @@ RtLoop::RtLoop(RtPlant* plant, const RtClock* clock,
       target_delay_(options.target_delay) {
   CS_CHECK(clock_ != nullptr);
   CS_CHECK_MSG(options_.period > 0.0, "period must be positive");
-  if (options_.adaptive_quantum) {
-    shard_quanta_.reserve(plant_->size());
-    for (size_t i = 0; i < plant_->size(); ++i) {
-      shard_quanta_.push_back(plant_->engine(i)->options().batch);
-    }
-  }
 
   // Departure fan-in runs on the N engine worker threads, serialized by
   // the departure mutex (uncontended at N = 1). The setpoint is re-read
@@ -192,32 +185,13 @@ void RtLoop::ControlTick(SimTime now, double lateness_wall) {
                         target_delay_.load(std::memory_order_relaxed));
   }
   m.fin_forecast = predictor_->Observe(m.fin);
-  if (options_.adaptive_quantum) {
-    // Adaptive scheduler quantum: one policy step per shard from this
-    // period's delay estimate and that shard's backlog, posted through the
-    // lone plan_quantum atomic (the worker picks it up at its next pump).
-    // The configured batch is the floor — adaptation only coarsens
-    // interleaving beyond it under backlog, never below it.
-    for (size_t i = 0; i < plant_->size(); ++i) {
-      RtEngine* engine = plant_->engine(i);
-      const QuantumSignals sig{m.y_hat, m.target_delay,
-                               samples_[i].queued_tuples};
-      const QuantumLimits lim{engine->options().batch, 4096};
-      const size_t next = NextQuantum(shard_quanta_[i], sig, lim);
-      if (next != shard_quanta_[i]) {
-        shard_quanta_[i] = next;
-        engine->stats()->plan_quantum.store(
-            static_cast<uint64_t>(next), std::memory_order_relaxed);
-      }
-    }
-  }
   PeriodRecord rec{.m = m, .lateness = lateness_wall};
   if (controller_ != nullptr) {
     ScopedSpan actuate_span(trace_buf_, "actuate");
-    // One slice per shard. Per-queue feedback stays worker-side in rt: the
-    // shard's virtual queue is the backlog signal that crossed the stats
-    // surface, and it is what clamps queue_target. The workers own the
-    // queues, so the in-network budget only goes out through the handshake.
+    // One slice per shard. The shard's virtual queue is the backlog signal
+    // that crossed the stats surface, and it is what clamps queue_target.
+    // The workers own the queues, so the in-network budget only goes out
+    // through the handshake.
     rec.v = controller_->DesiredRate(m);
     const ActuationFold fold = pipeline_.Actuate(
         &rec, monitor_.shard_fin(), monitor_.shard_queues(),

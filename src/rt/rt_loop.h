@@ -49,12 +49,6 @@ struct RtLoopOptions {
   bool queue_shed = false;
   /// Victim policy for the in-network half (kMostCostly vs kRandom).
   bool cost_aware_shed = false;
-  /// Adapt each shard worker's scheduler quantum at every period boundary
-  /// (see rt/adaptive_quantum.h): grow it under backlog, shrink it back
-  /// toward the configured batch when there is latency headroom. Off = the
-  /// configured batch is the quantum for the whole run, bit-identical to
-  /// the fixed-quantum loop.
-  bool adaptive_quantum = false;
   /// One-step-ahead arrival-rate forecast feeding the actuator (default:
   /// the paper's last-value estimate, Eq. 13).
   PredictorKind predictor = PredictorKind::kLastValue;
@@ -190,10 +184,6 @@ class RtLoop {
   // when N > 1) and, with telemetry on, the timeline row and the health
   // report behind the health gauges.
   std::vector<RtSample> samples_;
-
-  // Adaptive-quantum state (controller thread only): the quantum each
-  // shard was last told to use, seeded from its configured batch.
-  std::vector<size_t> shard_quanta_;
 
   // Controller-thread telemetry (histogram read elsewhere only after the
   // join in Stop()).

@@ -188,7 +188,6 @@ RtRunResult RunRtExperiment(const RtRunConfig& config) {
   lopts.adapt_headroom = base.adapt_headroom;
   lopts.queue_shed = base.use_queue_shedder;
   lopts.cost_aware_shed = base.cost_aware_shedding;
-  lopts.adaptive_quantum = config.batch_adaptive;
   lopts.predictor = base.predictor;
   lopts.telemetry = telemetry.get();
   RtLoop loop(&plant, &clock, controller.get(), lopts);

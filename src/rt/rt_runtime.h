@@ -52,17 +52,12 @@ struct RtPlantConfig {
 /// predictor, spacing, seed, the Fig. 14 time-varying cost trace
 /// (`vary_cost`, sampled on each worker's clock), and the in-network queue
 /// shedder (`use_queue_shedder` / `cost_aware_shedding`, executed by the
-/// worker pumps from controller-posted budgets — see the RtSharedStats
+/// worker pumps from each period's posted budget — see the RtSharedStats
 /// actuation-plan handshake). The one remaining simulation-only knob is
 /// injected estimation noise (real noise comes free in rt); see
 /// RtConfigError.
 struct RtRunConfig : RtPlantConfig {
   ExperimentConfig base;
-
-  /// Adapt each worker's scheduler quantum per control period (see
-  /// rt/adaptive_quantum.h): grow past `batch` under backlog, shrink back
-  /// with latency headroom. Off = fixed quantum `batch` for the whole run.
-  bool batch_adaptive = false;
 
   /// Optional early-stop flag (e.g. set by a SIGINT handler). The main
   /// thread polls it between sleep chunks; when it flips true the run

@@ -94,14 +94,6 @@ struct RtSharedStats {
     plan_seq.store(seq, std::memory_order_release);
   }
 
-  /// Adaptive scheduler quantum (controller -> worker). Unlike the shed
-  /// budget this is a self-contained value, not a one-shot grant, so it
-  /// needs no sequence handshake: the controller relaxed-stores the next
-  /// quantum each period and the worker relaxed-loads it at pump start,
-  /// applying it when it differs from what the scheduler currently grants.
-  /// 0 means "no override" (the worker keeps the configured batch).
-  std::atomic<uint64_t> plan_quantum{0};
-
   /// Takes a snapshot of all counters at `now`.
   ///
   /// Skew bound: the loads are not one atomic transaction, so a snapshot

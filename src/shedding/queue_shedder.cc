@@ -16,9 +16,7 @@ QueueShedder::QueueShedder(Engine* engine, uint64_t seed, bool cost_aware)
 }
 
 double QueueShedder::Configure(double v, const PeriodMeasurement& m) {
-  QueueFeedback fb;
-  CollectQueueFeedback(*engine_, &fb);
-  return ApplyPlan(planner_.BuildPlan(v, m, fb), m);
+  return ApplyPlan(planner_.BuildPlan(v, m), m);
 }
 
 double QueueShedder::ApplyPlan(const ActuationPlan& plan,

@@ -27,9 +27,8 @@ class QueueShedder : public Shedder {
   /// most-load-per-tuple choice, minimizing tuples lost per load shed.
   QueueShedder(Engine* engine, uint64_t seed, bool cost_aware = false);
 
-  /// Builds an in-network plan from the engine's queue feedback and applies
-  /// it — one code path with ApplyPlan, bit-identical to the historical
-  /// inline arithmetic.
+  /// Builds an in-network plan and applies it — one code path with
+  /// ApplyPlan, bit-identical to the historical inline arithmetic.
   double Configure(double v, const PeriodMeasurement& m) override;
 
   /// Executes the plan's in-network budget against the engine's queues

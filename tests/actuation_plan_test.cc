@@ -1,8 +1,8 @@
-// Tests of the unified actuation plane: the ActuationPlanner's arithmetic,
-// the per-queue budget decomposition, the upstream queue feedback, and —
-// most importantly — per-period EXPECT_EQ identity between the refactored
-// plan-based FeedbackLoop and a hand-written replica of the pre-plan
-// control tick (Sample -> DesiredRate -> Configure -> NotifyActuation).
+// Tests of the unified actuation plane: the ActuationPlanner's arithmetic
+// and — most importantly — per-period EXPECT_EQ identity between the
+// refactored plan-based FeedbackLoop and a hand-written replica of the
+// pre-plan control tick (Sample -> DesiredRate -> Configure ->
+// NotifyActuation).
 
 #include "control/actuation_plan.h"
 
@@ -54,7 +54,6 @@ TEST(ActuationPlannerTest, EntryOnlyMatchesEntryShedderExactly) {
       EXPECT_EQ(plan.entry_alpha, shedder.drop_probability())
           << "v=" << v << " fin=" << fin;
       EXPECT_EQ(plan.planned_applied, applied) << "v=" << v << " fin=" << fin;
-      EXPECT_TRUE(plan.budgets.empty());
     }
   }
 }
@@ -154,56 +153,6 @@ TEST(ActuationPlannerTest, BudgetLoadUsesNominalEntryCost) {
   EXPECT_DOUBLE_EQ(plan.queue_budget_load, 30.0 * 0.005);
 }
 
-// --- Per-queue budget decomposition --------------------------------------
-
-QueueFeedback ThreeQueueFeedback() {
-  QueueFeedback fb;
-  fb.queues.push_back({0, 10.0, 0.50, 0.050});
-  fb.queues.push_back({1, 20.0, 0.40, 0.020});
-  fb.queues.push_back({2, 5.0, 0.25, 0.050});  // ties op 0's drain cost
-  for (const QueueFeedbackEntry& q : fb.queues) {
-    fb.total_backlog_tuples += q.backlog_tuples;
-    fb.total_queued_load += q.queued_load;
-  }
-  return fb;
-}
-
-TEST(ActuationPlannerTest, CostAwareBudgetFillsMostCostlyFirst) {
-  ActuationPlannerOptions opts;
-  opts.allow_in_network = true;
-  opts.cost_aware = true;
-  opts.nominal_entry_cost = 0.01;
-  const ActuationPlanner planner(opts);
-  // queue_target = 60 tuples -> budget_load = 0.6: op 0 (0.50) fully, the
-  // tied op 2 next (first-max tiebreak is the lower index, so op 0 leads),
-  // and the cheap op 1 takes nothing.
-  const ActuationPlan plan = planner.BuildPlan(
-      -60.0, MakeMeasurement(0.0, /*queue=*/100.0), ThreeQueueFeedback());
-  EXPECT_DOUBLE_EQ(plan.queue_budget_load, 0.6);
-  ASSERT_EQ(plan.budgets.size(), 2u);
-  EXPECT_EQ(plan.budgets[0].op_index, 0);
-  EXPECT_DOUBLE_EQ(plan.budgets[0].budget_load, 0.50);
-  EXPECT_EQ(plan.budgets[1].op_index, 2);
-  EXPECT_NEAR(plan.budgets[1].budget_load, 0.10, 1e-12);
-}
-
-TEST(ActuationPlannerTest, RandomBudgetSplitsProportionally) {
-  ActuationPlannerOptions opts;
-  opts.allow_in_network = true;
-  opts.nominal_entry_cost = 0.01;
-  const ActuationPlanner planner(opts);
-  const QueueFeedback fb = ThreeQueueFeedback();  // total load 1.15
-  const ActuationPlan plan =
-      planner.BuildPlan(-23.0, MakeMeasurement(0.0, /*queue=*/100.0), fb);
-  EXPECT_DOUBLE_EQ(plan.queue_budget_load, 0.23);  // 20% of the backlog
-  ASSERT_EQ(plan.budgets.size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(plan.budgets[i].op_index, fb.queues[i].op_index);
-    EXPECT_NEAR(plan.budgets[i].budget_load, 0.2 * fb.queues[i].queued_load,
-                1e-12);
-  }
-}
-
 TEST(ActuationPlannerTest, EmptyFeedbackYieldsScalarBudgetOnly) {
   ActuationPlannerOptions opts;
   opts.allow_in_network = true;
@@ -211,41 +160,12 @@ TEST(ActuationPlannerTest, EmptyFeedbackYieldsScalarBudgetOnly) {
   const ActuationPlan plan =
       planner.BuildPlan(-30.0, MakeMeasurement(0.0, /*queue=*/100.0));
   EXPECT_DOUBLE_EQ(plan.queue_target, 30.0);
-  EXPECT_TRUE(plan.budgets.empty());  // executors consume the scalar budget
 }
 
 TEST(ActuationSiteTest, NamesAreStable) {
   EXPECT_EQ(ActuationSiteName(ActuationSite::kEntry), "entry");
   EXPECT_EQ(ActuationSiteName(ActuationSite::kInNetwork), "in_network");
   EXPECT_EQ(ActuationSiteName(ActuationSite::kSplit), "split");
-}
-
-// --- Upstream queue feedback ---------------------------------------------
-
-TEST(CollectQueueFeedbackTest, ReportsOnlyNonEmptyQueues) {
-  QueryNetwork net;
-  BuildUniformChain(&net, 5, 0.010);
-  Engine engine(&net, 1.0);
-  QueueFeedback fb;
-  CollectQueueFeedback(engine, &fb);
-  EXPECT_TRUE(fb.queues.empty());
-  EXPECT_DOUBLE_EQ(fb.total_queued_load, 0.0);
-
-  for (int i = 0; i < 20; ++i) {
-    Tuple t;
-    t.value = 0.5;
-    engine.Inject(t, 0.0);
-  }
-  CollectQueueFeedback(engine, &fb);
-  // All tuples sit at the entry operator; its remaining drain cost is the
-  // whole chain's per-tuple cost.
-  ASSERT_EQ(fb.queues.size(), 1u);
-  EXPECT_EQ(fb.queues[0].op_index, 0);
-  EXPECT_DOUBLE_EQ(fb.queues[0].backlog_tuples, 20.0);
-  EXPECT_DOUBLE_EQ(fb.queues[0].drain_cost, 0.010);
-  EXPECT_DOUBLE_EQ(fb.queues[0].queued_load, 0.20);
-  EXPECT_DOUBLE_EQ(fb.total_backlog_tuples, 20.0);
-  EXPECT_DOUBLE_EQ(fb.total_queued_load, 0.20);
 }
 
 // --- Refactor identity: plan-based loop vs the pre-plan control tick ------

@@ -149,7 +149,7 @@ TEST(ClusterSimIdentityTest, OneNodeTwoWorkersEqualsShardedLoop) {
 
 TEST(ClusterSimIdentityTest, OneNodeInNetworkEqualsShardedLoop) {
   // The in-network budget path: under the Fig. 14 cost jump the loop
-  // drains queues, and the node agent and RtLoop both post the budgets
+  // drains queues, and the node agent and RtLoop both post each budget
   // through RtPlant::PostPlan.
   for (int workers : {1, 2}) {
     for (bool cost_aware : {false, true}) {
@@ -325,7 +325,7 @@ TEST(ClusterSimTest, CostTraceAndQueueShedderActuateInNetwork) {
   config.base.use_queue_shedder = true;
   // Pull the Fig. 14 cost jump inside the short test window so the
   // controller is forced to a negative v (queue drain) while queues are
-  // full — the only way budgets reach the nodes' in-network shedders.
+  // full — the only way a budget reaches the nodes' in-network shedders.
   config.base.cost_params.jump_at = 12.0;
   config.nodes = 2;
   config.workers_per_node = 1;

@@ -201,7 +201,6 @@ void ExpectSame(const RtRunConfig& got, const RtRunConfig& want) {
   EXPECT_SAME(time_compression);
   EXPECT_SAME(ring_capacity);
   EXPECT_SAME(batch);
-  EXPECT_SAME(batch_adaptive);
   EXPECT_SAME(pin_cpus);
   EXPECT_SAME(workers);
 }
@@ -272,7 +271,6 @@ RtRunConfig FormerRt() {
   c.time_compression = 20.0;
   c.ring_capacity = 4096;
   c.batch = 1;
-  c.batch_adaptive = false;
   c.pin_cpus = "";
   c.workers = 1;
   return c;
@@ -449,11 +447,10 @@ TEST(CommandTableTest, DocumentedRtLines) {
          c.base.duration = 30.0;
          c.batch = 64;
        }},
-      {"duration=30 rate=150 batch=64 batch_adaptive=1 pin_cpus=auto",
+      {"duration=30 rate=150 batch=64 pin_cpus=auto",
        [](RtRunConfig& c) {
          c.base.duration = 30.0;
          c.batch = 64;
-         c.batch_adaptive = true;
          c.pin_cpus = "auto";
        }},
       {"method=ctrl workload=constant rate=380 duration=120 compress=10 "
@@ -669,12 +666,14 @@ TEST(CommandTableTest, BadTokensNameTheirKnob) {
       {"node", "workers=+2", "workers"},
       {"rt", "busy_spin=1", "busy_spin"},
       {"node", "busy_spin=1", "busy_spin"},
+      {"rt", "batch_adaptive=1", "batch_adaptive"},
       {"feed", "", "port"},
       {"run", "dration=9", "dration"},
       {"soak", "seed=abc", "seed"},
       {"soak", "yd=2s", "yd"},
       {"soak", "dration=9", "dration"},
       {"soak", "duration=abc", "duration"},
+      {"soak", "batch_adaptive=1", "batch_adaptive"},
       {"overhead", "reps=0", "reps"},
   };
   for (const Case& c : cases) {
@@ -743,8 +742,7 @@ TEST(CommandTableTest, EachCommandKeepsItsFormerKeys) {
       "cost_aware noise adapt_H rate beta seed poles trace_out" + telemetry;
   EXPECT_EQ(KeysOf<RunArgs>(), Sorted(run));
   EXPECT_EQ(KeysOf<RtArgs>(),
-            Sorted(run + " compress ring batch batch_adaptive pin_cpus "
-                         "workers"));
+            Sorted(run + " compress ring batch pin_cpus workers"));
   EXPECT_EQ(KeysOf<NodeArgs>(),
             Sorted("id workers port controller_host controller_port duration "
                    "T yd H_true H capacity vary_cost adapt_H seed compress "
@@ -759,8 +757,8 @@ TEST(CommandTableTest, EachCommandKeepsItsFormerKeys) {
   EXPECT_EQ(KeysOf<TraceArgs>(), Sorted("kind duration seed beta"));
   EXPECT_EQ(KeysOf<DesignArgs>(), Sorted("poles a"));
   EXPECT_EQ(KeysOf<SoakArgs>(),
-            Sorted("duration compress yd overload seed workers batch "
-                   "batch_adaptive pin telemetry_dir telemetry_port"));
+            Sorted("duration compress yd overload seed workers batch pin "
+                   "telemetry_dir telemetry_port"));
   EXPECT_EQ(KeysOf<OverheadArgs>(),
             Sorted("duration compress rate reps out cluster"));
 }

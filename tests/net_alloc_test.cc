@@ -156,11 +156,12 @@ bool SendAll(int fd, const char* data, size_t n) {
   return true;
 }
 
-/// Waits (without allocating) until `server` has received `n` frames.
-bool WaitForFrames(const FrameServer& server, uint64_t n) {
+/// Waits (without allocating) until `server` has received `n` frames and
+/// counted `wakes` wakes that delivered frames.
+bool WaitForFrames(const FrameServer& server, uint64_t n, uint64_t wakes = 0) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (server.frames_received() < n) {
+  while (server.frames_received() < n || server.wakeups() < wakes) {
     if (std::chrono::steady_clock::now() > deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -187,9 +188,11 @@ TEST(NetAllocTest, ServerReadPathAllocatesNothingAfterFirstWake) {
     const int fd = RawConnect(server.port());
 
     // The first wake accepts, grows the read buffer and the reused frame
-    // and batch; from then on the read path must stay off the heap.
+    // and batch; from then on the read path must stay off the heap. A wake
+    // reads until the socket would block, so the rest goes out only once
+    // the first wake is counted: sent earlier, it can land in that wake.
     ASSERT_TRUE(SendAll(fd, wire.data(), frame_bytes));
-    ASSERT_TRUE(WaitForFrames(server, 1));
+    ASSERT_TRUE(WaitForFrames(server, 1, /*wakes=*/1));
     uint64_t allocs = 0;
     {
       AllocWindow window;
@@ -201,11 +204,14 @@ TEST(NetAllocTest, ServerReadPathAllocatesNothingAfterFirstWake) {
       ASSERT_TRUE(received);
     }
     EXPECT_EQ(allocs, 0u);
-    EXPECT_EQ(tuples.load(), kFrames * kTuplesPerFrame);
-    EXPECT_GE(server.wakeups(), 2u);
 
     ::close(fd);
     server.Stop();
+    // The serve thread counts a frame before its handler runs and a wake
+    // after its frames are dispatched; the join in Stop() orders both
+    // before these reads.
+    EXPECT_EQ(tuples.load(), kFrames * kTuplesPerFrame);
+    EXPECT_GE(server.wakeups(), 2u);
   }
 }
 

@@ -451,7 +451,6 @@ TEST(ClusterWireTest, ActuationAndAckRoundTrip) {
   k.seq = 9;
   k.applied = 120.0;
   k.alpha = 0.25;
-  k.site = 2;  // split
   k.queue_shed = 17.5;
   ActuationAck k2;
   ASSERT_TRUE(DecodeAck(EncodeAckFrame(k).substr(kFrameHeaderBytes), &k2));
@@ -459,7 +458,6 @@ TEST(ClusterWireTest, ActuationAndAckRoundTrip) {
   EXPECT_EQ(k2.seq, k.seq);
   EXPECT_EQ(k2.applied, k.applied);
   EXPECT_EQ(k2.alpha, k.alpha);
-  EXPECT_EQ(k2.site, k.site);
   EXPECT_EQ(k2.queue_shed, k.queue_shed);
 }
 
@@ -473,16 +471,8 @@ TEST(ClusterWireTest, RejectsUnknownPlanFlags) {
   EXPECT_FALSE(DecodeActuation(payload, &out));
 }
 
-TEST(ClusterWireTest, RejectsInvalidAckSiteAndQueueShed) {
-  ActuationAck k;
-  k.applied = 100.0;
-  k.alpha = 0.5;
-  std::string payload = EncodeAckFrame(k).substr(kFrameHeaderBytes);
-  // site lives after node_id (u32) + seq (u32) + applied (f64) + alpha (f64).
-  payload[4 + 4 + 8 + 8] = 3;  // not a valid ActuationSite
+TEST(ClusterWireTest, RejectsInvalidAckQueueShed) {
   ActuationAck out;
-  EXPECT_FALSE(DecodeAck(payload, &out));
-
   ActuationAck negative;
   negative.applied = 100.0;
   negative.queue_shed = -1.0;  // victims cannot be negative

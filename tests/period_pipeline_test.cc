@@ -265,7 +265,6 @@ TEST(PeriodPipelineTest, LostAckCountsTheWholeSliceAtEntry) {
 
   ActuationAck in_network = full;  // node 1 drained its queues instead
   in_network.queue_shed = 12.0;
-  in_network.site = static_cast<uint32_t>(ActuationSite::kInNetwork);
   double v_in_network = 0.0;
   const PeriodRecord drained = RunClusterPeriod(&in_network, &v_in_network);
   ASSERT_NE(drained.site, ActuationSite::kEntry);

@@ -235,8 +235,8 @@ TEST(RtRuntimeTest, OverloadControllerTracksSetpoint) {
 TEST(RtRuntimeTest, CostTraceAndQueueShedderTrackSetpoint) {
   // Rt parity for the two formerly sim-only actuation knobs: the Fig. 14
   // cost trace (sampled on the worker's clock) and the in-network queue
-  // shedder (plan budgets executed inside the worker pump). The controlled
-  // delay must still track the setpoint within the sanity band.
+  // shedder (each plan's budget executed inside the worker pump). The
+  // controlled delay must still track the setpoint within the sanity band.
   RtRunConfig cfg = BaseConfig();
   cfg.base.method = Method::kCtrl;
   cfg.base.constant_rate = 380.0;

@@ -92,9 +92,7 @@ Knobs PlantKnobs(RtPlantConfig& p) {
 }
 
 Knobs RtKnobs(RtRunConfig& c) {
-  return Join({ExperimentKnobs(c.base), PlantKnobs(c),
-               {Switch("batch_adaptive", &c.batch_adaptive,
-                       "grow the quantum under backlog")}});
+  return Join({ExperimentKnobs(c.base), PlantKnobs(c)});
 }
 
 Knobs KnobsOf(RunArgs& a) {
@@ -111,8 +109,7 @@ Knobs KnobsOf(RtArgs& a) {
                      TraceOut(&a.trace_out)}}),
               "method workload duration T yd H H_true capacity rate beta "
               "poles vary_cost queue_shed cost_aware noise adapt_H seed "
-              "compress workers ring batch batch_adaptive pin_cpus trace_out" +
-                  kTelemetry);
+              "compress workers ring batch pin_cpus trace_out" + kTelemetry);
 }
 
 Knobs KnobsOf(NodeArgs& a) {
@@ -190,8 +187,8 @@ Knobs KnobsOf(SoakArgs& a) {
                      Choice<std::string>("pin", &a.cfg.pin_cpus,
                                          {{"0", ""}, {"1", "auto"}},
                                          "pin worker i to CPU i % ncpu")}}),
-              "duration compress yd overload seed workers batch "
-              "batch_adaptive pin telemetry_dir telemetry_port");
+              "duration compress yd overload seed workers batch pin "
+              "telemetry_dir telemetry_port");
 }
 
 Knobs KnobsOf(OverheadArgs& a) {
